@@ -46,6 +46,7 @@ from .dac import (
     perturb,
     read_config,
     supply_currents,
+    trial_weights,
     weights,
     write_config,
 )
@@ -115,6 +116,7 @@ __all__ = [
     "dac_output",
     "supply_currents",
     "perturb",
+    "trial_weights",
     "read_config",
     "write_config",
     # pipeline

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codec, pipeline
-from .dac import Dac, DacConfig, perturb
+from .dac import Dac, DacConfig, indicator_output, indicators, trial_weights
+from .dac import perturb  # noqa: F401  (kept importable from here; benchmarks/tracing.py wraps it)
 from .errors import RangeError
 from .pipeline import BOLTZMANN_J_PER_K, SimulationTrace, StimulusKind, StimulusSpec
 
@@ -148,22 +149,22 @@ class SweepResult:
             raise RangeError("sweep levels must be strictly increasing")
 
 
-def _sine_trace(
-    config: DacConfig,
-    level_dbfs: float,
-    f0_hz: float,
-    duration_s: float,
-    fs_hz: float,
-    dac: Dac | None = None,
-) -> SimulationTrace:
-    spec = StimulusSpec(
+def _coherent_sine(
+    level_dbfs: float, f0_hz: float, duration_s: float, fs_hz: float
+) -> StimulusSpec:
+    """Sine stimulus on a power-of-two record, its tone snapped to a coherent bin."""
+    n = int(round(duration_s * fs_hz))
+    if n < 4 or n & (n - 1):
+        raise RangeError(
+            f"duration {duration_s:g} s gives {n} samples; choose a power-of-two record"
+        )
+    return StimulusSpec(
         kind=StimulusKind.SINE,
         amplitude_dbfs=level_dbfs,
-        frequency_hz=f0_hz,
+        frequency_hz=snap_coherent(f0_hz, fs_hz, n),
         duration_s=duration_s,
         fs_hz=fs_hz,
     )
-    return pipeline.simulate(pipeline.generate(spec), config, fs_hz=fs_hz, dac=dac)
 
 
 def level_sweep(
@@ -171,26 +172,19 @@ def level_sweep(
     levels_dbfs,
     f0_hz: float = 800.0,
     duration_s: float = 0.256,
-    seed: int = 0,
     fs_hz: float = pipeline.DEFAULT_FS_HZ,
 ) -> SweepResult:
     """One simulate + sfdr + efficiency row per level (noise off, deterministic).
 
-    The tone is snapped to the nearest coherent bin of the record. ``seed`` is
-    accepted for interface symmetry with the Monte-Carlo study; the sweep
-    itself is noise-free.
+    The tone is snapped to the nearest coherent bin of the record.
     """
-    del seed  # noise-free; rows depend only on config and stimulus
-    n = int(round(duration_s * fs_hz))
-    if n < 4 or n & (n - 1):
-        raise RangeError(
-            f"duration {duration_s:g} s gives {n} samples; choose a power-of-two record"
-        )
-    f_snap = snap_coherent(f0_hz, fs_hz, n)
+    tone = _coherent_sine(0.0, f0_hz, duration_s, fs_hz)
+    f_snap = tone.frequency_hz
     dac = Dac(config)
     rows = []
     for level in levels_dbfs:
-        trace = _sine_trace(config, float(level), f_snap, duration_s, fs_hz, dac=dac)
+        spec = replace(tone, amplitude_dbfs=float(level))
+        trace = pipeline.simulate(pipeline.generate(spec), config, fs_hz=fs_hz, dac=dac)
         power_w = float(np.mean(np.square(trace.v_out))) / config.load_ohms
         rows.append(
             SweepRow(
@@ -230,31 +224,19 @@ def monte_carlo(
 
     Each trial perturbs the converter elements (seeded by (seed, trial) so a
     longer run extends a shorter one unchanged), keeps the exact encoder, and
-    measures the SFDR of the mismatched converter on a coherent sine.
+    measures the SFDR of the mismatched converter on a coherent sine. The
+    sine is encoded once, every trial's loaded weights come from one stacked
+    solve (:func:`~ternadac.dac.trial_weights`), and each trial is evaluated
+    with the converter's own fast-path expression.
     """
-    if trials < 1:
-        raise RangeError("trials must be >= 1")
-    n = int(round(duration_s * fs_hz))
-    if n < 4 or n & (n - 1):
-        raise RangeError(
-            f"duration {duration_s:g} s gives {n} samples; choose a power-of-two record"
-        )
-    f_snap = snap_coherent(f0_hz, fs_hz, n)
-    base = replace(config, tolerance=tolerance)
-    spec = StimulusSpec(
-        kind=StimulusKind.SINE,
-        amplitude_dbfs=level_dbfs,
-        frequency_hz=f_snap,
-        duration_s=duration_s,
-        fs_hz=fs_hz,
-    )
+    spec = _coherent_sine(level_dbfs, f0_hz, duration_s, fs_hz)
+    f_snap = spec.frequency_hz
+    w_pos, w_neg = trial_weights(replace(config, tolerance=tolerance), seed, trials)
     values, _ = codec.scale_samples(pipeline.generate(spec), config.n_digits)
-    digits = codec.to_balanced_ternary_array(values, config.n_digits)
-    results = np.empty(trials)
-    for trial in range(trials):
-        trial_config = perturb(base, (seed, trial))
-        v_out = Dac(trial_config).output_array(digits)
-        results[trial] = sfdr(v_out, f_snap, fs_hz)
+    pos, neg = indicators(codec.to_balanced_ternary_array(values, config.n_digits))
+    results = np.array(
+        [sfdr(indicator_output(pos, neg, wp, wn), f_snap, fs_hz) for wp, wn in zip(w_pos, w_neg)]
+    )
     p10, median, p90 = np.percentile(results, [10.0, 50.0, 90.0])
     return MonteCarloResult(
         sfdr_db=results,

@@ -232,7 +232,6 @@ def _cmd_sweep(args) -> int:
         levels,
         f0_hz=args.freq,
         duration_s=args.duration,
-        seed=args.seed,
         fs_hz=args.fs,
     )
     manifest = RunManifest(

@@ -22,6 +22,10 @@ SAMPLE_MIN = -(2**31)
 
 DEFAULT_N_DIGITS = 20
 
+#: Most digits the array codec handles: its values are int64, and
+#: (3**40 - 1) // 2 < 2**63 <= (3**41 - 1) // 2.
+MAX_ARRAY_DIGITS = 40
+
 #: A ternary value is a plain integer in [-(3**n - 1)/2, +(3**n - 1)/2].
 TernaryValue = int
 
@@ -34,6 +38,14 @@ def ternary_full_scale(n_digits: int) -> int:
     if n_digits < 1:
         raise RangeError("n_digits must be >= 1")
     return (3**n_digits - 1) // 2
+
+
+def _array_full_scale(n_digits: int) -> int:
+    if n_digits > MAX_ARRAY_DIGITS:
+        raise RangeError(
+            f"{n_digits} digits exceed the int64 array codec (at most {MAX_ARRAY_DIGITS})"
+        )
+    return ternary_full_scale(n_digits)
 
 
 @dataclass(frozen=True)
@@ -128,25 +140,25 @@ def scale_sample(sample: int, n_digits: int = DEFAULT_N_DIGITS) -> tuple[int, bo
 
 
 def scale_samples(samples: Iterable[int], n_digits: int = DEFAULT_N_DIGITS) -> tuple[np.ndarray, int]:
-    """Vectorised :func:`scale_sample` over a stream.
+    """Vectorised :func:`scale_sample` over a stream, exact in int64.
+
+    Supports ``n_digits`` up to :data:`MAX_ARRAY_DIGITS`; more raise RangeError.
 
     Returns:
         (int64 array of ternary values, number of clamped samples)
     """
+    m = _array_full_scale(n_digits)
     s = np.asarray(samples, dtype=np.int64)
     if s.size and (s.min() < SAMPLE_MIN or s.max() > SAMPLE_FULL_SCALE):
         raise RangeError("stream contains values outside the 32-bit signed range")
-    m = ternary_full_scale(n_digits)
-    if m <= (2**63 - 1) // (2**31):  # product fits in int64
-        q = s * m
-        aq = np.abs(q)
-        t = (2 * aq + SAMPLE_FULL_SCALE) // (2 * SAMPLE_FULL_SCALE)
-        t = np.where(q >= 0, t, -t)
-    else:
-        t = np.array([_round_half_away(int(x) * m, SAMPLE_FULL_SCALE) for x in s], dtype=object)
+    # |s| * m can overflow int64, so split m = hi * F + lo with lo < F:
+    # round(|s| * m / F) = |s| * hi + round(|s| * lo / F), each term in range.
+    hi, lo = divmod(m, SAMPLE_FULL_SCALE)
+    a = np.abs(s)
+    t = a * hi + (2 * a * lo + SAMPLE_FULL_SCALE) // (2 * SAMPLE_FULL_SCALE)
+    t = np.where(s >= 0, t, -t)
     clamped = int(np.count_nonzero((t < -m) | (t > m)))
-    t = np.clip(t, -m, m).astype(np.int64)
-    return t, clamped
+    return np.clip(t, -m, m), clamped
 
 
 def to_balanced_ternary(t: int, n_digits: int = DEFAULT_N_DIGITS) -> DigitVector:
@@ -171,7 +183,7 @@ def to_balanced_ternary(t: int, n_digits: int = DEFAULT_N_DIGITS) -> DigitVector
 def to_balanced_ternary_array(values: Iterable[int], n_digits: int = DEFAULT_N_DIGITS) -> np.ndarray:
     """Vectorised encoder; returns an int8 array of shape (len(values), n_digits)."""
     t = np.asarray(values, dtype=np.int64).copy()
-    m = ternary_full_scale(n_digits)
+    m = _array_full_scale(n_digits)
     if t.size and (t.min() < -m or t.max() > m):
         raise RangeError(f"values outside [-{m}, +{m}] for {n_digits} digits")
     digits = np.empty((t.size, n_digits), dtype=np.int8)
@@ -193,6 +205,7 @@ def from_balanced_ternary_array(digits: np.ndarray) -> np.ndarray:
     """Vectorised decoder for an array of shape (count, n_digits)."""
     digits = np.asarray(digits, dtype=np.int64)
     n = digits.shape[1]
+    _array_full_scale(n)
     powers = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return digits @ powers
 

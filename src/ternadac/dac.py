@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -143,54 +143,97 @@ def _sections(config: DacConfig) -> list[_Section]:
     return out
 
 
-@dataclass
-class _Assembly:
-    net: ResistiveNetwork
-    elements: list[tuple[str, float]]  # (label, effective ohms) in build order
+@dataclass(frozen=True)
+class _Layout:
+    """Element-to-branch map of one converter topology.
+
+    Node 1 is the upper output, node 2 the lower. Resistor branches are one
+    element each; source ``j`` sits behind ``r_on`` in series with the
+    parallel group ``groups[j]`` of elements (padded with ``n_elements``).
+    Sources are upper stages 0..n-1 followed by lower stages 0..n-1.
+    """
+
+    labels: tuple[str, ...]
+    values: np.ndarray  # effective element ohms, in label order
+    resistor_nodes: tuple[tuple[int, int], ...]
+    resistor_elements: np.ndarray
+    source_nodes: tuple[int, ...]
+    groups: np.ndarray  # (n_sources, widest group) element indices
+    r_on: float
+
+    def branch_ohms(self, element_ohms: np.ndarray, load_ohms: float) -> np.ndarray:
+        """Ohms of every network branch for element rows of shape (T, n_elements).
+
+        Columns follow :meth:`network`: resistors, the load when finite, then
+        sources. Each row is computed alone, so a row's value does not depend
+        on the other rows.
+        """
+        t, n_el = element_ohms.shape
+        inverse = np.zeros((t, n_el + 1))  # the extra zero column pads the groups
+        np.divide(1.0, element_ohms, out=inverse[:, :n_el])
+        strings = inverse[:, self.groups[:, 0]]
+        for k in range(1, self.groups.shape[1]):
+            strings = strings + inverse[:, self.groups[:, k]]
+        columns = [element_ohms[:, self.resistor_elements]]
+        if math.isfinite(load_ohms):
+            columns.append(np.full((t, 1), load_ohms))
+        columns.append(self.r_on + 1.0 / strings)
+        return np.concatenate(columns, axis=1)
+
+    def network(self, load_ohms: float) -> ResistiveNetwork:
+        """The network with nominal element values and the given load (inf = open)."""
+        ohms = self.branch_ohms(self.values[None], load_ohms)[0].tolist()
+        nodes = list(self.resistor_nodes)
+        if math.isfinite(load_ohms):
+            nodes.append((1, 2))
+        resistors = tuple(Resistor(a, b, r) for (a, b), r in zip(nodes, ohms))
+        sources = tuple(
+            VoltageSource(node=node, series_ohms=r)
+            for node, r in zip(self.source_nodes, ohms[len(nodes) :])
+        )
+        name = "dac" + (" loaded" if math.isfinite(load_ohms) else " open")
+        return ResistiveNetwork(resistors=resistors, sources=sources, port=(1, 2), name=name)
 
 
-def _parallel(values: Iterable[float]) -> float:
-    return 1.0 / sum(1.0 / v for v in values)
-
-
-def _build_half(
-    config: DacConfig,
-    half: str,
-    out_node: int,
-    next_node: int,
-    resistors: list[Resistor],
-    sources: list[VoltageSource],
-    elements: list[tuple[str, float]],
-) -> int:
+def _layout(config: DacConfig) -> _Layout:
+    """Walk the stages once: element labels and values, branch nodes and groups."""
     stages = config.stages
     overrides = config.element_overrides
+    labels: list[str] = []
+    values: list[float] = []
+    resistor_nodes: list[tuple[int, int]] = []
+    resistor_elements: list[int] = []
+    source_nodes: list[int] = []
+    groups: list[list[int]] = []
 
-    def element(label: str, nominal: float) -> float:
-        value = overrides.get(label, nominal)
-        elements.append((label, value))
-        return value
+    def element(label: str, nominal: float) -> int:
+        labels.append(label)
+        values.append(overrides.get(label, nominal))
+        return len(labels) - 1
+
+    def resistor(a: int, b: int, label: str, nominal: float) -> None:
+        resistor_nodes.append((a, b))
+        resistor_elements.append(element(label, nominal))
+
+    def source(node: int, prefix: str, nominal: float, count: int) -> None:
+        source_nodes.append(node)
+        groups.append([element(f"{prefix}{j + 1}", nominal) for j in range(count)])
 
     sections = _sections(config)
-    for si, sec in enumerate(sections):
-        if sec.kind is StageKind.POWER3_WEIGHTED:
-            for k in sec.indices:
-                st = stages[k]
-                strings = [
-                    element(f"{half}.s{k + 1:02d}.string{j + 1}", st.r_base)
-                    for j in range(st.parallel_strings)
-                ]
-                sources.append(
-                    VoltageSource(node=out_node, series_ohms=config.r_on + _parallel(strings))
-                )
-            if len(sections) == 1:
-                # Standalone bank: terminate with the resistance of the missing
-                # geometric tail so the port impedance matches the infinite ladder.
-                last = stages[sec.indices[-1]]
-                nominal = 2.0 * last.r_base / last.parallel_strings
-                resistors.append(
-                    Resistor(out_node, 0, element(f"{half}.star.term", nominal))
-                )
-        else:
+    next_node = 3
+    for half, out_node in (("upper", 1), ("lower", 2)):
+        for si, sec in enumerate(sections):
+            if sec.kind is StageKind.POWER3_WEIGHTED:
+                for k in sec.indices:
+                    st = stages[k]
+                    source(out_node, f"{half}.s{k + 1:02d}.string", st.r_base, st.parallel_strings)
+                if len(sections) == 1:
+                    # Standalone bank: terminate with the resistance of the missing
+                    # geometric tail so the port impedance matches the infinite ladder.
+                    last = stages[sec.indices[-1]]
+                    nominal = 2.0 * last.r_base / last.parallel_strings
+                    resistor(out_node, 0, f"{half}.star.term", nominal)
+                continue
             first = sec.indices[0]
             if si == 0:
                 node = out_node
@@ -199,56 +242,32 @@ def _build_half(
                 next_node += 1
                 st = stages[first]
                 nominal = st.entry_ohms if st.entry_ohms is not None else 4.0 * st.r_base
-                resistors.append(
-                    Resistor(out_node, node, element(f"{half}.s{first + 1:02d}.entry", nominal))
-                )
+                resistor(out_node, node, f"{half}.s{first + 1:02d}.entry", nominal)
             for pos, k in enumerate(sec.indices):
                 st = stages[k]
                 if pos > 0:
                     prev = sec.indices[pos - 1]
-                    nxt = next_node
+                    series = 4.0 * stages[prev].r_base
+                    resistor(node, next_node, f"{half}.s{prev + 1:02d}.series", series)
+                    node = next_node
                     next_node += 1
-                    resistors.append(
-                        Resistor(
-                            node,
-                            nxt,
-                            element(f"{half}.s{prev + 1:02d}.series", 4.0 * stages[prev].r_base),
-                        )
-                    )
-                    node = nxt
-                shunts = [
-                    element(f"{half}.s{k + 1:02d}.shunt{j + 1}", 3.0 * st.r_base)
-                    for j in range(st.parallel_strings)
-                ]
-                sources.append(
-                    VoltageSource(node=node, series_ohms=config.r_on + _parallel(shunts))
-                )
+                source(node, f"{half}.s{k + 1:02d}.shunt", 3.0 * st.r_base, st.parallel_strings)
             last = sec.indices[-1]
-            resistors.append(
-                Resistor(node, 0, element(f"{half}.s{last + 1:02d}.term", 6.0 * stages[last].r_base))
-            )
-    return next_node
+            resistor(node, 0, f"{half}.s{last + 1:02d}.term", 6.0 * stages[last].r_base)
 
-
-def _assemble(config: DacConfig, include_load: bool) -> _Assembly:
-    """Build the differential network: node 1 = upper output, node 2 = lower.
-
-    Source order is upper stages 0..n-1 followed by lower stages 0..n-1.
-    """
-    resistors: list[Resistor] = []
-    sources: list[VoltageSource] = []
-    elements: list[tuple[str, float]] = []
-    next_node = _build_half(config, "upper", 1, 3, resistors, sources, elements)
-    _build_half(config, "lower", 2, next_node, resistors, sources, elements)
-    if include_load and math.isfinite(config.load_ohms):
-        resistors.append(Resistor(1, 2, config.load_ohms))
-    net = ResistiveNetwork(
-        resistors=tuple(resistors),
-        sources=tuple(sources),
-        port=(1, 2),
-        name="dac" + (" loaded" if include_load else " open"),
+    width = max(len(g) for g in groups)
+    padded = np.full((len(groups), width), len(labels), dtype=np.intp)
+    for j, group in enumerate(groups):
+        padded[j, : len(group)] = group
+    return _Layout(
+        labels=tuple(labels),
+        values=np.array(values),
+        resistor_nodes=tuple(resistor_nodes),
+        resistor_elements=np.array(resistor_elements, dtype=np.intp),
+        source_nodes=tuple(source_nodes),
+        groups=padded,
+        r_on=config.r_on,
     )
-    return _Assembly(net=net, elements=elements)
 
 
 def enumerate_elements(config: DacConfig) -> list[tuple[str, float]]:
@@ -258,7 +277,8 @@ def enumerate_elements(config: DacConfig) -> list[tuple[str, float]]:
     which is what makes seeded perturbations reproducible. The load and the
     switch on-resistance are not converter components and are not listed.
     """
-    return _assemble(config, include_load=False).elements
+    layout = _layout(config)
+    return list(zip(layout.labels, layout.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -295,6 +315,28 @@ class WeightTable:
         return float(self.w_pos_open.sum())
 
 
+def _digit_weights(config: DacConfig, port_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed per-digit volts (w_pos, w_neg) from port volts per source volt.
+
+    ``port_weights`` has n_sources (= 2 * n_digits) entries in its last axis.
+    """
+    n = config.n_digits
+    volts = np.array([st.supply_v for st in config.stages])
+    return volts * port_weights[..., :n], -volts * port_weights[..., n:]
+
+
+def indicators(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float indicators of the +1 and the -1 digits of digit words (count, n_digits)."""
+    return (digits == 1).astype(float), (digits == -1).astype(float)
+
+
+def indicator_output(
+    pos: np.ndarray, neg: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray
+) -> np.ndarray:
+    """Output volts of digit words given as :func:`indicators`: the fast path."""
+    return pos @ w_pos - neg @ w_neg
+
+
 class Dac:
     """Assembled converter with cached solvers and digit-state fast paths.
 
@@ -304,19 +346,16 @@ class Dac:
 
     def __init__(self, config: DacConfig):
         self.config = config
-        self._open = NetworkSolver(_assemble(config, include_load=False).net)
+        layout = _layout(config)
+        self._open = NetworkSolver(layout.network(math.inf))
         if math.isfinite(config.load_ohms):
-            self._loaded = NetworkSolver(_assemble(config, include_load=True).net)
+            self._loaded = NetworkSolver(layout.network(config.load_ohms))
         else:
             self._loaded = self._open
+        self._w_pos_open, self._w_neg_open = _digit_weights(config, self._open.port_weights)
+        self._w_pos_loaded, self._w_neg_loaded = _digit_weights(config, self._loaded.port_weights)
         n = config.n_digits
         volts = np.array([st.supply_v for st in config.stages])
-        u_open = self._open.port_weights
-        u_loaded = self._loaded.port_weights
-        self._w_pos_open = volts * u_open[:n]
-        self._w_neg_open = -volts * u_open[n:]
-        self._w_pos_loaded = volts * u_loaded[:n]
-        self._w_neg_loaded = -volts * u_loaded[n:]
         self._volts = volts
         self.z_out = float(self._open.output_impedance())
         self.rail_voltages: tuple[float, ...] = tuple(sorted(set(volts), reverse=True))
@@ -372,11 +411,10 @@ class Dac:
             raise RangeError(
                 f"digit count {digits.shape[1]} does not match {self.n_digits} stages"
             )
-        pos = (digits == 1).astype(float)
-        neg = (digits == -1).astype(float)
+        pos, neg = indicators(digits)
         if loaded:
-            return pos @ self._w_pos_loaded - neg @ self._w_neg_loaded
-        return pos @ self._w_pos_open - neg @ self._w_neg_open
+            return indicator_output(pos, neg, self._w_pos_loaded, self._w_neg_loaded)
+        return indicator_output(pos, neg, self._w_pos_open, self._w_neg_open)
 
     def supply_currents(self, d: DigitVector) -> dict[float, float]:
         """Signed amps drawn from each supply rail for one digit word.
@@ -404,8 +442,7 @@ class Dac:
         scale = np.concatenate([self._volts, self._volts])
         for start in range(0, count, chunk):
             block = digits[start : start + chunk]
-            pos = (block == 1).astype(float)
-            neg = (block == -1).astype(float)
+            pos, neg = indicators(block)
             levels = np.hstack([pos, neg]) * scale
             currents = levels @ j_t
             active = levels > 0
@@ -509,10 +546,7 @@ def build_prototype() -> DacConfig:
 
 def _stage_weights_open(config: DacConfig) -> np.ndarray:
     """Open-circuit differential volts per +1 digit, one entry per stage."""
-    solver = NetworkSolver(_assemble(config, include_load=False).net)
-    n = config.n_digits
-    volts = np.array([st.supply_v for st in config.stages])
-    return volts * solver.port_weights[:n]
+    return _digit_weights(config, NetworkSolver(_layout(config).network(math.inf)).port_weights)[0]
 
 
 def calibrate(config: DacConfig) -> DacConfig:
@@ -591,14 +625,48 @@ def perturb(config: DacConfig, seed) -> DacConfig:
     independently, as physically distinct components. A zero tolerance
     returns the config unchanged.
     """
-    tol = config.tolerance
-    if tol == 0.0:
+    if config.tolerance == 0.0:
         return config
-    elements = enumerate_elements(config)
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-tol, tol, size=len(elements))
-    overrides = {label: float(value * (1.0 + ui)) for (label, value), ui in zip(elements, u)}
-    return dataclasses.replace(config, element_overrides=overrides)
+    layout = _layout(config)
+    ohms = _perturbed_ohms(layout, config.tolerance, seed)
+    return dataclasses.replace(config, element_overrides=dict(zip(layout.labels, ohms.tolist())))
+
+
+def _perturbed_ohms(layout: _Layout, tolerance: float, seed) -> np.ndarray:
+    u = np.random.default_rng(seed).uniform(-tolerance, tolerance, size=len(layout.values))
+    return layout.values * (1.0 + u)
+
+
+#: Trials per stacked solve in :func:`trial_weights`. It bounds the solve's
+#: working memory (about 50 kB per trial on the prototype) for any trial count,
+#: and keeps the default 100-trial study to one solve.
+TRIAL_BLOCK = 128
+
+
+def trial_weights(config: DacConfig, seed, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Loaded digit weights of the perturbed converters ``perturb(config, (seed, t))``.
+
+    Returns (w_pos, w_neg), each of shape (trials, n_digits); row ``t`` equals
+    the loaded weights of ``Dac(perturb(config, (seed, t)))``. The stages are
+    walked once and all trials share one topology, solved in stacks of
+    :data:`TRIAL_BLOCK`. Every row is computed alone, so a longer run extends
+    a shorter one unchanged.
+    """
+    if trials < 1:
+        raise RangeError("trials must be >= 1")
+    layout = _layout(config)
+    solver = NetworkSolver(layout.network(config.load_ohms))
+    blocks = []
+    for start in range(0, trials, TRIAL_BLOCK):
+        element_ohms = np.stack(
+            [
+                _perturbed_ohms(layout, config.tolerance, (seed, t))
+                for t in range(start, min(start + TRIAL_BLOCK, trials))
+            ]
+        )
+        branch_ohms = layout.branch_ohms(element_ohms, config.load_ohms)
+        blocks.append(solver.batch_port_weights(1.0 / branch_ohms))
+    return _digit_weights(config, np.concatenate(blocks))
 
 
 # --- config file format --------------------------------------------------

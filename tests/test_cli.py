@@ -75,6 +75,15 @@ def test_encode_reports_bad_sample_line(tmp_path, capsys):
     assert "[IO]" in err and ":2:" in err
 
 
+def test_encode_digits_beyond_codec_range_is_range_error(tmp_path, capsys):
+    out = tmp_path / "digits.txt"
+    code = run(
+        ["encode", "--digits", "41", "--kind", "silence", "--duration", "0.005", "--out", out]
+    )
+    assert code == 3
+    assert "[RANGE]" in capsys.readouterr().err
+
+
 # --- weights --------------------------------------------------------------------
 
 

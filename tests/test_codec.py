@@ -67,6 +67,29 @@ def test_scale_samples_matches_scalar():
     assert clamp_count == sum(c for _, c in expected)
 
 
+@pytest.mark.parametrize("n", [21, 30, codec.MAX_ARRAY_DIGITS])
+def test_scale_samples_wide_records_match_oracle(n):
+    rng = np.random.default_rng(n)
+    edges = [-(2**31), 2**31 - 1, 1, -1]
+    samples = np.concatenate([rng.integers(-(2**31), 2**31, size=200), edges])
+    values, clamp_count = codec.scale_samples(samples, n)
+    expected = [scale_oracle(int(x), n) for x in samples]
+    assert [int(t) for t in values] == [t for t, _ in expected]
+    assert clamp_count == sum(c for _, c in expected)
+    digits = codec.to_balanced_ternary_array(values, n)
+    assert np.array_equal(codec.from_balanced_ternary_array(digits), values)
+
+
+def test_array_codec_rejects_digits_beyond_int64():
+    n = codec.MAX_ARRAY_DIGITS + 1
+    with pytest.raises(RangeError, match="at most 40"):
+        codec.scale_samples([0, 1], n)
+    with pytest.raises(RangeError):
+        codec.to_balanced_ternary_array([0, 1], n)
+    with pytest.raises(RangeError):
+        codec.from_balanced_ternary_array(np.zeros((1, n), dtype=np.int8))
+
+
 def test_scale_rejects_non_32bit_samples():
     with pytest.raises(RangeError):
         codec.scale_sample(2**31, 20)

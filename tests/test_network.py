@@ -190,3 +190,86 @@ def test_netlist_dump_golden():
         "V0 1 0 series=100\n"
         "PORT 1 0\n"
     )
+
+
+# --- batched superposition ------------------------------------------------------
+
+
+def scaled_copy(net, factors):
+    """The same topology with every branch (resistors, then Norton sources) scaled."""
+    resistors = tuple(
+        network.Resistor(r.node_a, r.node_b, r.ohms * f) for r, f in zip(net.resistors, factors)
+    )
+    rest = iter(factors[len(net.resistors) :])
+    sources = tuple(
+        network.VoltageSource(s.node, s.series_ohms * next(rest) if s.series_ohms > 0 else 0.0)
+        for s in net.sources
+    )
+    return network.ResistiveNetwork(resistors=resistors, sources=sources, port=net.port)
+
+
+def test_batch_port_weights_match_each_network():
+    rng = np.random.default_rng(28)
+    net = random_network(rng, n_nodes=7, extra_edges=4, n_sources=3)
+    solver = network.NetworkSolver(net)
+    factors = rng.uniform(0.5, 2.0, size=(5, solver.n_branches))
+    batch = solver.batch_port_weights(solver.conductances / factors)
+    for row, f in zip(batch, factors):
+        other = scaled_copy(net, f)
+        assert np.allclose(row, network.NetworkSolver(other).port_weights, rtol=1e-12, atol=1e-15)
+        for k in range(len(net.sources)):
+            unit = np.zeros(len(net.sources))
+            unit[k] = 1.0
+            v_ref, _ = loop_current_solve(other, unit)
+            p, q = net.port
+            assert row[k] == pytest.approx(v_ref[p] - v_ref[q], rel=1e-9, abs=1e-12)
+
+
+def test_batch_of_own_conductances_is_port_weights():
+    rng = np.random.default_rng(29)
+    solver = network.NetworkSolver(random_network(rng, n_sources=3))
+    batch = solver.batch_port_weights(np.tile(solver.conductances, (3, 1)))
+    assert all(np.array_equal(row, solver.port_weights) for row in batch)
+
+
+def test_batch_rejects_wrong_conductance_shape():
+    solver = network.NetworkSolver(divider_network())
+    with pytest.raises(SolverError, match="shape"):
+        solver.batch_port_weights(np.ones((2, solver.n_branches + 1)))
+
+
+def corrupt_solve(monkeypatch, offset=1e-3):
+    """Make every stacked solve return a slightly wrong answer."""
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + offset)
+
+
+def test_corrupted_unit_solve_raises(monkeypatch):
+    solver = network.NetworkSolver(divider_network())
+    corrupt_solve(monkeypatch)
+    with pytest.raises(SolverError, match="superposition"):
+        solver.port_weights
+    with pytest.raises(SolverError, match="superposition"):
+        solver.source_current_matrix
+
+
+def test_corrupted_batch_solve_names_the_trial(monkeypatch):
+    solver = network.NetworkSolver(divider_network())
+    good = np.tile(solver.conductances, (3, 1))
+    solve = np.linalg.solve
+
+    def corrupt_last(a, b):
+        x = solve(a, b)
+        x[-1] += 1e-3
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", corrupt_last)
+    with pytest.raises(SolverError, match=r"trial 2"):
+        solver.batch_port_weights(good)
+
+
+def test_non_finite_unit_solve_raises(monkeypatch):
+    solver = network.NetworkSolver(divider_network())
+    corrupt_solve(monkeypatch, offset=np.nan)
+    with pytest.raises(SolverError):
+        solver.port_weights
