@@ -133,8 +133,7 @@ class SweepRow:
     level_dbm: float
     sfdr_db: float
     efficiency_pct: float
-    i90_avg_a: float
-    i12_avg_a: float
+    rail_avg_a: dict[float, float]  # mean signed amps per rail, Dac.rail_voltages order
 
 
 @dataclass(frozen=True)
@@ -192,8 +191,7 @@ def level_sweep(
                 level_dbm=10.0 * math.log10(power_w / 1e-3) if power_w > 0 else -math.inf,
                 sfdr_db=sfdr(trace, f_snap, fs_hz),
                 efficiency_pct=efficiency(trace, config),
-                i90_avg_a=float(np.mean(trace.i_rail_90)),
-                i12_avg_a=float(np.mean(trace.i_rail_12)),
+                rail_avg_a={v: float(np.mean(i)) for v, i in trace.rail_currents.items()},
             )
         )
     return SweepResult(rows=tuple(rows), f0_hz=f_snap, fs_hz=fs_hz)
@@ -232,8 +230,8 @@ def monte_carlo(
     spec = _coherent_sine(level_dbfs, f0_hz, duration_s, fs_hz)
     f_snap = spec.frequency_hz
     w_pos, w_neg = trial_weights(replace(config, tolerance=tolerance), seed, trials)
-    values, _ = codec.scale_samples(pipeline.generate(spec), config.n_digits)
-    pos, neg = indicators(codec.to_balanced_ternary_array(values, config.n_digits))
+    digits, _ = codec.encode_stream(pipeline.generate(spec), config.n_digits)
+    pos, neg = indicators(digits)
     results = np.array(
         [sfdr(indicator_output(pos, neg, wp, wn), f_snap, fs_hz) for wp, wn in zip(w_pos, w_neg)]
     )

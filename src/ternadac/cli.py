@@ -37,18 +37,20 @@ class RunManifest:
         return lines
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
+#: Rows of a numeric table converted to Python floats at a time, so the
+#: converted copy stays small on long records.
+CSV_BLOCK = 4096
+
+
+def _table_rows(columns):
+    """Rows of equal-length numeric columns, as lists of Python numbers."""
+    table = np.column_stack(columns)
+    for start in range(0, len(table), CSV_BLOCK):
+        yield from table[start : start + CSV_BLOCK].tolist()
 
 
 def _write_csv(path, manifest: RunManifest, columns: list[str], rows) -> None:
+    """Manifest, header and rows; every cell is written as ``str(cell)``."""
     header = ",".join(columns)
     try:
         with open(path, "w", encoding="ascii") as fh:
@@ -56,7 +58,7 @@ def _write_csv(path, manifest: RunManifest, columns: list[str], rows) -> None:
                 fh.write(line + "\n")
             fh.write(header + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+                fh.write(",".join(map(str, row)) + "\n")
     except OSError as exc:
         raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
@@ -143,12 +145,10 @@ def _cmd_encode(args) -> int:
         stream = pipeline.generate(spec)
         n_digits = args.digits
         stim_desc = (
-            f"kind={spec.kind.value.lower()} amp={_fmt(spec.amplitude_dbfs)}"
-            f" freq={_fmt(spec.frequency_hz)} duration={_fmt(spec.duration_s)}"
-            f" fs={_fmt(spec.fs_hz)}"
+            f"kind={spec.kind.value.lower()} amp={spec.amplitude_dbfs}"
+            f" freq={spec.frequency_hz} duration={spec.duration_s} fs={spec.fs_hz}"
         )
-    values, clamp_count = codec.scale_samples(stream, n_digits)
-    digits = codec.to_balanced_ternary_array(values, n_digits)
+    digits, clamp_count = codec.encode_stream(stream, n_digits)
     manifest = RunManifest(
         "encode",
         {"digits": n_digits, "stimulus": stim_desc, "clamped": clamp_count, "out": args.out},
@@ -179,48 +179,40 @@ def _cmd_weights(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config, config_desc = _load_config(args)
-    params = {"config": config_desc, "seed": args.seed, "fs": _fmt(args.fs)}
+    params = {"config": config_desc, "seed": args.seed, "fs": args.fs}
     if args.digits_in:
         digits = codec.read_digit_dump(args.digits_in, config.n_digits)
-        trace = pipeline.simulate_digits(
-            digits,
-            config,
-            fs_hz=args.fs,
-            add_thermal_noise=args.noise,
-            temperature_k=args.temp,
-            seed=args.seed,
-        )
+        clamp_count = 0
         params["digits_in"] = args.digits_in
     else:
         spec = _stimulus_from_args(args, args.fs)
-        stream = pipeline.generate(spec)
-        values, clamp_count = codec.scale_samples(stream, config.n_digits)
-        digits = codec.to_balanced_ternary_array(values, config.n_digits)
-        trace = pipeline.simulate_digits(
-            digits,
-            config,
-            fs_hz=args.fs,
-            add_thermal_noise=args.noise,
-            temperature_k=args.temp,
-            seed=args.seed,
-            clamp_count=clamp_count,
-        )
+        digits, clamp_count = codec.encode_stream(pipeline.generate(spec), config.n_digits)
         params.update(
             kind=spec.kind.value.lower(),
-            amp=_fmt(spec.amplitude_dbfs),
-            freq=_fmt(spec.frequency_hz),
-            duration=_fmt(spec.duration_s),
+            amp=spec.amplitude_dbfs,
+            freq=spec.frequency_hz,
+            duration=spec.duration_s,
         )
+    trace = pipeline.simulate_digits(
+        digits,
+        config,
+        fs_hz=args.fs,
+        add_thermal_noise=args.noise,
+        temperature_k=args.temp,
+        seed=args.seed,
+        clamp_count=clamp_count,
+    )
     params["noise"] = "on" if args.noise else "off"
     if args.noise:
-        params["temp"] = _fmt(args.temp)
+        params["temp"] = args.temp
     params["out"] = args.out
     manifest = RunManifest("simulate", params)
     if args.dump_digits:
         codec.write_digit_dump(args.dump_digits, digits, header_lines=manifest.header_lines())
+    columns = ["time_s", "v_out_volts"] + [f"i{v:g}_amps" for v in trace.rail_currents]
     time_s = np.arange(len(trace)) / args.fs
-    rows = zip(time_s, trace.v_out, trace.i_rail_90, trace.i_rail_12)
-    _write_csv(args.out, manifest, ["time_s", "v_out_volts", "i90_amps", "i12_amps"], rows)
+    rows = _table_rows([time_s, trace.v_out, *trace.rail_currents.values()])
+    _write_csv(args.out, manifest, columns, rows)
     return 0
 
 
@@ -239,23 +231,20 @@ def _cmd_sweep(args) -> int:
         {
             "config": config_desc,
             "levels": args.levels,
-            "f0": _fmt(result.f0_hz),
-            "duration": _fmt(args.duration),
-            "fs": _fmt(args.fs),
+            "f0": result.f0_hz,
+            "duration": args.duration,
+            "fs": args.fs,
             "seed": args.seed,
             "out": args.out,
         },
     )
+    columns = ["level_dbfs", "level_dbm", "sfdr_db", "efficiency_pct"]
+    columns += [f"i{v:g}_avg_a" for v in result.rows[0].rail_avg_a]
     rows = [
-        (r.level_dbfs, r.level_dbm, r.sfdr_db, r.efficiency_pct, r.i90_avg_a, r.i12_avg_a)
+        (r.level_dbfs, r.level_dbm, r.sfdr_db, r.efficiency_pct, *r.rail_avg_a.values())
         for r in result.rows
     ]
-    _write_csv(
-        args.out,
-        manifest,
-        ["level_dbfs", "level_dbm", "sfdr_db", "efficiency_pct", "i90_avg_a", "i12_avg_a"],
-        rows,
-    )
+    _write_csv(args.out, manifest, columns, rows)
     return 0
 
 
@@ -275,12 +264,12 @@ def _cmd_montecarlo(args) -> int:
         "montecarlo",
         {
             "config": config_desc,
-            "tol": _fmt(args.tol),
+            "tol": args.tol,
             "trials": args.trials,
-            "level": _fmt(args.level),
-            "f0": _fmt(result.f0_hz),
-            "duration": _fmt(args.duration),
-            "fs": _fmt(args.fs),
+            "level": args.level,
+            "f0": result.f0_hz,
+            "duration": args.duration,
+            "fs": args.fs,
             "seed": args.seed,
             "out": args.out,
         },
@@ -300,11 +289,11 @@ def _cmd_noise(args) -> int:
     manifest = RunManifest(
         "noise",
         {
-            "t": _fmt(args.t),
-            "b": _fmt(args.b),
-            "pmax_dbm": _fmt(args.pmax_dbm),
+            "t": args.t,
+            "b": args.b,
+            "pmax_dbm": args.pmax_dbm,
             "digits": args.digits,
-            "quantization_dr_db": _fmt(analysis.quantization_dynamic_range(args.digits)),
+            "quantization_dr_db": analysis.quantization_dynamic_range(args.digits),
             "out": args.out,
         },
     )

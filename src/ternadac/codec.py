@@ -195,6 +195,16 @@ def to_balanced_ternary_array(values: Iterable[int], n_digits: int = DEFAULT_N_D
     return digits
 
 
+def encode_stream(stream: Iterable[int], n_digits: int = DEFAULT_N_DIGITS) -> tuple[np.ndarray, int]:
+    """Scale a 32-bit sample stream and encode it: the one scale -> encode path.
+
+    Returns:
+        (int8 digit array of shape (len(stream), n_digits), number of clamped samples)
+    """
+    values, clamped = scale_samples(stream, n_digits)
+    return to_balanced_ternary_array(values, n_digits), clamped
+
+
 def from_balanced_ternary(d: DigitVector) -> int:
     """Exact digit-weighted sum; inverse of :func:`to_balanced_ternary`."""
     n = len(d)

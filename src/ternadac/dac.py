@@ -286,8 +286,8 @@ class WeightTable:
     """Per-stage differential output volts per digit, plus port impedance.
 
     Positive and negative digit weights are stored separately; they are equal
-    on a symmetric (unperturbed) converter. ``w_open``/``w_loaded`` are the
-    symmetrised views.
+    on a symmetric (unperturbed) converter. ``w_open`` is the symmetrised
+    open-circuit view; the loaded weights drive every output evaluation.
     """
 
     w_pos_open: np.ndarray
@@ -304,10 +304,6 @@ class WeightTable:
     @property
     def w_open(self) -> np.ndarray:
         return 0.5 * (self.w_pos_open + self.w_neg_open)
-
-    @property
-    def w_loaded(self) -> np.ndarray:
-        return 0.5 * (self.w_pos_loaded + self.w_neg_loaded)
 
     @property
     def v_full_scale(self) -> float:
@@ -337,11 +333,23 @@ def indicator_output(
     return pos @ w_pos - neg @ w_neg
 
 
+def _table_output(digits: np.ndarray, wt: WeightTable) -> np.ndarray:
+    """Loaded output volts of digit words (count, n_digits) from a weight table."""
+    if digits.shape[1] != wt.n_digits:
+        raise RangeError(f"digit count {digits.shape[1]} does not match {wt.n_digits} stages")
+    return indicator_output(*indicators(digits), wt.w_pos_loaded, wt.w_neg_loaded)
+
+
+#: Digit words per block in :meth:`Dac.rail_currents_array`, which bounds its
+#: working memory (about 1 kB per word on the prototype) on long records.
+RAIL_BLOCK = 65536
+
+
 class Dac:
     """Assembled converter with cached solvers and digit-state fast paths.
 
-    Immutable after construction; concurrent evaluation over disjoint digit
-    arrays is safe.
+    Immutable after construction (the weight table's arrays are read-only);
+    concurrent evaluation over disjoint digit arrays is safe.
     """
 
     def __init__(self, config: DacConfig):
@@ -352,69 +360,53 @@ class Dac:
             self._loaded = NetworkSolver(layout.network(config.load_ohms))
         else:
             self._loaded = self._open
-        self._w_pos_open, self._w_neg_open = _digit_weights(config, self._open.port_weights)
-        self._w_pos_loaded, self._w_neg_loaded = _digit_weights(config, self._loaded.port_weights)
-        n = config.n_digits
+        w_pos_open, w_neg_open = _digit_weights(config, self._open.port_weights)
+        w_pos_loaded, w_neg_loaded = _digit_weights(config, self._loaded.port_weights)
+        for w in (w_pos_open, w_neg_open, w_pos_loaded, w_neg_loaded):
+            w.setflags(write=False)
+        self.z_out = float(self._open.output_impedance())
+        self._table = WeightTable(
+            w_pos_open=w_pos_open,
+            w_neg_open=w_neg_open,
+            w_pos_loaded=w_pos_loaded,
+            w_neg_loaded=w_neg_loaded,
+            z_out=self.z_out,
+            load_ohms=config.load_ohms,
+        )
         volts = np.array([st.supply_v for st in config.stages])
         self._volts = volts
-        self.z_out = float(self._open.output_impedance())
         self.rail_voltages: tuple[float, ...] = tuple(sorted(set(volts), reverse=True))
-        self._rail_columns = {
-            v: np.concatenate([np.flatnonzero(volts == v), n + np.flatnonzero(volts == v)])
-            for v in self.rail_voltages
-        }
+        self._source_volts = np.concatenate([volts, volts])
+        # R[j, r] = 1 when source j (upper stages, then lower) draws from rail r.
+        self._rail_matrix = (self._source_volts[:, None] == self.rail_voltages).astype(float)
 
     @property
     def n_digits(self) -> int:
         return self.config.n_digits
 
     def weight_table(self) -> WeightTable:
-        return WeightTable(
-            w_pos_open=self._w_pos_open.copy(),
-            w_neg_open=self._w_neg_open.copy(),
-            w_pos_loaded=self._w_pos_loaded.copy(),
-            w_neg_loaded=self._w_neg_loaded.copy(),
-            z_out=self.z_out,
-            load_ohms=self.config.load_ohms,
-        )
-
-    def _check_digits(self, d: DigitVector) -> None:
-        if len(d) != self.n_digits:
-            raise RangeError(f"digit count {len(d)} does not match {self.n_digits} stages")
+        return self._table
 
     def source_levels(self, d: DigitVector) -> np.ndarray:
         """Per-source volts for one digit word, by the differential split rule."""
-        self._check_digits(d)
+        if len(d) != self.n_digits:
+            raise RangeError(f"digit count {len(d)} does not match {self.n_digits} stages")
         states = split_differential(d)
         upper = [self._volts[k] * s.value for k, s in enumerate(states.upper)]
         lower = [self._volts[k] * s.value for k, s in enumerate(states.lower)]
         return np.array(upper + lower, dtype=float)
 
-    def output(self, d: DigitVector, loaded: bool = True) -> float:
-        """Differential output volts via the weight-table fast path."""
-        self._check_digits(d)
-        w_pos = self._w_pos_loaded if loaded else self._w_pos_open
-        w_neg = self._w_neg_loaded if loaded else self._w_neg_open
-        return float(
-            sum(w_pos[k] if dk == 1 else -w_neg[k] if dk == -1 else 0.0 for k, dk in enumerate(d))
-        )
+    def output(self, d: DigitVector) -> float:
+        """Loaded differential output volts via the weight-table fast path."""
+        return dac_output(d, self._table)
 
-    def output_direct(self, d: DigitVector, loaded: bool = True) -> float:
-        """Reference path: full network solve of the switch state."""
-        solver = self._loaded if loaded else self._open
-        return float(solver.port_voltage(self.source_levels(d)))
+    def output_direct(self, d: DigitVector) -> float:
+        """Reference path: full network solve of the switch state into the load."""
+        return float(self._loaded.port_voltage(self.source_levels(d)))
 
-    def output_array(self, digits: np.ndarray, loaded: bool = True) -> np.ndarray:
+    def output_array(self, digits: np.ndarray) -> np.ndarray:
         """Fast-path outputs for an array of digit words, shape (count, n_digits)."""
-        digits = np.asarray(digits)
-        if digits.shape[1] != self.n_digits:
-            raise RangeError(
-                f"digit count {digits.shape[1]} does not match {self.n_digits} stages"
-            )
-        pos, neg = indicators(digits)
-        if loaded:
-            return indicator_output(pos, neg, self._w_pos_loaded, self._w_neg_loaded)
-        return indicator_output(pos, neg, self._w_pos_open, self._w_neg_open)
+        return _table_output(np.asarray(digits), self._table)
 
     def supply_currents(self, d: DigitVector) -> dict[float, float]:
         """Signed amps drawn from each supply rail for one digit word.
@@ -423,35 +415,27 @@ class Dac:
         switch conducts to ground, not to the supply.
         """
         levels = self.source_levels(d)
-        sol = self._loaded.solve(levels)
-        out: dict[float, float] = {}
-        for v in self.rail_voltages:
-            cols = self._rail_columns[v]
-            active = levels[cols] > 0
-            out[v] = float(sol.source_currents[cols][active].sum())
-        return out
+        currents = self._loaded.solve(levels).source_currents * (levels > 0)
+        return dict(zip(self.rail_voltages, (currents @ self._rail_matrix).tolist()))
 
-    def rail_currents_array(
-        self, digits: np.ndarray, chunk: int = 65536
-    ) -> dict[float, np.ndarray]:
-        """Per-sample signed rail currents for an array of digit words."""
+    def rail_currents_array(self, digits: np.ndarray) -> dict[float, np.ndarray]:
+        """Per-sample signed rail currents for an array of digit words.
+
+        ``((a @ Js) * a) @ R`` per block of :data:`RAIL_BLOCK` words: ``a``
+        holds the +1 then the -1 digit indicators (one column per source),
+        ``Js[i, j]`` is the current of source j with source i HIGH, and the
+        second factor of ``a`` keeps only the HIGH sources, as in
+        :meth:`supply_currents`.
+        """
         digits = np.asarray(digits)
-        count = digits.shape[0]
-        j_t = self._loaded.source_current_matrix.T
-        out = {v: np.empty(count) for v in self.rail_voltages}
-        scale = np.concatenate([self._volts, self._volts])
-        for start in range(0, count, chunk):
-            block = digits[start : start + chunk]
-            pos, neg = indicators(block)
-            levels = np.hstack([pos, neg]) * scale
-            currents = levels @ j_t
-            active = levels > 0
-            contrib = currents * active
-            for v in self.rail_voltages:
-                out[v][start : start + block.shape[0]] = contrib[:, self._rail_columns[v]].sum(
-                    axis=1
-                )
-        return out
+        js = self._source_volts[:, None] * self._loaded.source_current_matrix.T
+        out = np.empty((len(self.rail_voltages), len(digits)))
+        for start in range(0, len(digits), RAIL_BLOCK):
+            a = np.hstack(indicators(digits[start : start + RAIL_BLOCK]))
+            currents = a @ js
+            currents *= a
+            out[:, start : start + len(a)] = (currents @ self._rail_matrix).T
+        return dict(zip(self.rail_voltages, out))
 
 
 # --- spec-level operations ---------------------------------------------------
@@ -601,15 +585,9 @@ def weights(config: DacConfig) -> WeightTable:
     return Dac(config).weight_table()
 
 
-def dac_output(d: DigitVector, wt: WeightTable, loaded: bool = True) -> float:
-    """Digit-weighted sum of the table; matches the full network solve."""
-    if len(d) != wt.n_digits:
-        raise RangeError(f"digit count {len(d)} does not match {wt.n_digits} stages")
-    w_pos = wt.w_pos_loaded if loaded else wt.w_pos_open
-    w_neg = wt.w_neg_loaded if loaded else wt.w_neg_open
-    return float(
-        sum(w_pos[k] if dk == 1 else -w_neg[k] if dk == -1 else 0.0 for k, dk in enumerate(d))
-    )
+def dac_output(d: DigitVector, wt: WeightTable) -> float:
+    """Loaded output volts of one digit word; matches the full network solve."""
+    return float(_table_output(np.array([d.digits]), wt)[0])
 
 
 def supply_currents(d: DigitVector, config: DacConfig) -> dict[float, float]:

@@ -31,6 +31,20 @@ from .errors import SolverError
 RESIDUAL_RTOL = 1e-9
 
 
+def _solved(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which columns of ``x`` (..., m, k) solve ``a x = b`` to ``RESIDUAL_RTOL``.
+
+    A column passes when it is finite and its residual is within
+    ``RESIDUAL_RTOL·(|A|·|x| + max(|b|, 1))``: the ``|A|·|x|`` term makes this
+    a backward-error test, so a correct solve passes at any conductance scale
+    (calibration brackets an entry resistor down to 1e-9 ohm).
+    """
+    residual = np.linalg.norm(a @ x - b, axis=-2)
+    scale = np.linalg.norm(a, axis=(-2, -1))[..., None] * np.linalg.norm(x, axis=-2)
+    scale += np.maximum(np.linalg.norm(b, axis=-2), 1.0)
+    return np.isfinite(x).all(axis=-2) & (residual <= RESIDUAL_RTOL * scale)
+
+
 @dataclass(frozen=True)
 class Resistor:
     node_a: int
@@ -213,12 +227,8 @@ class NetworkSolver:
     def _unit_solve(self, g: np.ndarray) -> np.ndarray:
         """Unknowns for every unit source excitation, shape (T, n_unknowns, n_sources).
 
-        One stacked solve; every unit column of every trial is checked for
-        finiteness and its residual against ``RESIDUAL_RTOL``. The residual
-        is scaled like the direct solve's, plus ``|A| |x|``: rounding in a very
-        large conductance grows with it (calibration brackets an entry
-        resistor down to 1e-9 ohm), so this measures the solve's backward
-        error rather than the conductance scale.
+        One stacked solve; every unit column of every trial is checked by
+        :func:`_solved`.
         """
         a = self._stamp(g)
         b = self._unit_rhs(g)
@@ -226,10 +236,7 @@ class NetworkSolver:
             x = np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular network system in superposition solve: {exc}") from exc
-        residual = np.linalg.norm(a @ x - b, axis=1)
-        scale = np.linalg.norm(a, axis=(1, 2))[:, None] * np.linalg.norm(x, axis=1)
-        scale += np.maximum(np.linalg.norm(b, axis=1), 1.0)
-        bad = ~np.isfinite(x).all(axis=(1, 2)) | ~(residual <= RESIDUAL_RTOL * scale).all(axis=1)
+        bad = ~_solved(a, x, b).all(axis=1)
         if bad.any():
             where = f" (trial {int(np.flatnonzero(bad)[0])})" if len(g) > 1 else ""
             raise SolverError(f"singular or ill-conditioned system in superposition solve{where}")
@@ -266,10 +273,8 @@ class NetworkSolver:
         x = scipy.linalg.lu_solve(self._lu, b)
         if not np.all(np.isfinite(x)):
             raise SolverError("singular network system (zero pivot in factorisation)")
-        residual = self._matrix @ x - b
-        scale = max(float(np.linalg.norm(b)), 1.0)
-        if np.linalg.norm(residual) > RESIDUAL_RTOL * scale:
-            worst = int(np.argmax(np.abs(residual)))
+        if not _solved(self._matrix, x[:, None], b[:, None]).all():
+            worst = int(np.argmax(np.abs(self._matrix @ x - b)))
             if worst < self._n_nodes - 1:
                 node = worst + 1
             else:

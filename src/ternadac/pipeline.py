@@ -1,9 +1,12 @@
 """Stimulus generation and end-to-end converter simulation.
 
-The chain per sample is scale -> balanced-ternary encode -> differential
-split -> weight-table evaluation into the load, with signed per-rail supply
-currents from the same network solution. Everything is deterministic given
-(stimulus, config, seed); optional load thermal noise is seeded Gaussian.
+A sample stream becomes digit words through :func:`ternadac.codec.encode_stream`
+(scale, then balanced-ternary encode), the one encode path that every caller
+shares. :func:`simulate_digits` converts digit words: the differential
+weight-table fast path gives the volts into the load, and the same network's
+source currents give the signed current of each supply rail, keyed by its
+volts. Everything is deterministic given (stimulus, config, seed); optional
+load thermal noise is seeded Gaussian.
 """
 
 from __future__ import annotations
@@ -100,7 +103,11 @@ def generate(spec: StimulusSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Time series of one run: output volts, rail currents, digit activity."""
+    """Time series of one run: output volts, rail currents, digit activity.
+
+    ``rail_currents`` maps each supply rail's volts to its signed amps per
+    sample, in :attr:`Dac.rail_voltages` order.
+    """
 
     v_out: np.ndarray
     rail_currents: dict[float, np.ndarray]
@@ -116,20 +123,6 @@ class SimulationTrace:
 
     def __len__(self) -> int:
         return len(self.v_out)
-
-    def _rail(self, volts: float) -> np.ndarray:
-        for v, series in self.rail_currents.items():
-            if v == volts:
-                return series
-        return np.zeros(len(self.v_out))
-
-    @property
-    def i_rail_90(self) -> np.ndarray:
-        return self._rail(90.0)
-
-    @property
-    def i_rail_12(self) -> np.ndarray:
-        return self._rail(12.0)
 
 
 def _noise_sigma_at_load(dac: Dac, temperature_k: float, bandwidth_hz: float) -> float:
@@ -182,8 +175,7 @@ def simulate(
     dac: Dac | None = None,
 ) -> SimulationTrace:
     """Scale, encode and convert a fixed-point sample stream."""
-    values, clamp_count = codec.scale_samples(stream, config.n_digits)
-    digits = codec.to_balanced_ternary_array(values, config.n_digits)
+    digits, clamp_count = codec.encode_stream(stream, config.n_digits)
     return simulate_digits(
         digits,
         config,

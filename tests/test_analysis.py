@@ -183,7 +183,9 @@ def test_sweep_row_matches_direct_run(calibrated):
     trace = pipeline.simulate(pipeline.generate(spec), calibrated)
     assert row.sfdr_db == analysis.sfdr(trace, result.f0_hz, FS)
     assert row.efficiency_pct == analysis.efficiency(trace, calibrated)
-    assert row.i90_avg_a == pytest.approx(float(np.mean(trace.i_rail_90)), rel=1e-12)
+    assert list(row.rail_avg_a) == [90.0, 12.0]
+    means = {v: float(np.mean(i)) for v, i in trace.rail_currents.items()}
+    assert row.rail_avg_a == pytest.approx(means, rel=1e-12)
 
 
 def test_sweep_levels_must_increase(calibrated):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ternadac import __version__, cli, codec, dac, write_config
+from ternadac import __version__, analysis, calibrate, cli, codec, dac, pipeline
+from ternadac import read_config, write_config
 
 
 def run(args):
@@ -170,6 +173,37 @@ def test_sweep_csv(tmp_path, calibrated_config_file):
     assert header == ["level_dbfs", "level_dbm", "sfdr_db", "efficiency_pct", "i90_avg_a", "i12_avg_a"]
     assert [r[0] for r in rows] == ["-12.0", "-6.0", "0.0"]
     assert float(rows[2][1]) == pytest.approx(47.7, abs=0.5)  # full-scale sine power
+
+
+def test_rail_columns_follow_the_config_rails(tmp_path, prototype):
+    # A 48 V / 6 V converter: the columns are named after its rails and carry
+    # their currents (nothing about the rails is fixed to the prototype's).
+    rails = {90.0: 48.0, 12.0: 6.0}
+    stages = tuple(replace(s, supply_v=rails[s.supply_v]) for s in prototype.stages)
+    path = tmp_path / "rails.cfg"
+    write_config(calibrate(replace(prototype, stages=stages)), path)
+    config = read_config(path)
+
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--config", path, "--levels=-12", "--duration", "0.016", "--out", out]
+    assert run(args) == 0
+    header, rows = read_rows(out)
+    assert header[4:] == ["i48_avg_a", "i6_avg_a"]
+    spec = pipeline.StimulusSpec(
+        kind=pipeline.StimulusKind.SINE,
+        amplitude_dbfs=-12.0,
+        frequency_hz=analysis.snap_coherent(800.0, pipeline.DEFAULT_FS_HZ, 1024),
+        duration_s=0.016,
+    )
+    trace = pipeline.simulate(pipeline.generate(spec), config)
+    i48 = float(rows[0][4])
+    assert i48 > 0
+    assert i48 == float(np.mean(trace.rail_currents[48.0]))
+
+    out = tmp_path / "trace.csv"
+    assert run(["simulate", "--config", path, "--duration", "0.001", "--out", out]) == 0
+    header, _ = read_rows(out)
+    assert header == ["time_s", "v_out_volts", "i48_amps", "i6_amps"]
 
 
 def test_montecarlo_zero_tolerance_rows_identical(tmp_path, calibrated_config_file):

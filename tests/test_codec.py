@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternadac import codec
 from ternadac.errors import FileFormatError, RangeError
@@ -78,6 +80,34 @@ def test_scale_samples_wide_records_match_oracle(n):
     assert clamp_count == sum(c for _, c in expected)
     digits = codec.to_balanced_ternary_array(values, n)
     assert np.array_equal(codec.from_balanced_ternary_array(digits), values)
+
+
+SAMPLES = st.lists(
+    st.one_of(
+        st.integers(codec.SAMPLE_MIN, codec.SAMPLE_FULL_SCALE),
+        st.sampled_from([codec.SAMPLE_MIN, codec.SAMPLE_MIN + 1, -1, 0, 1, 2**31 - 1]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(samples=SAMPLES)
+def test_encode_stream_matches_oracle_for_every_width(samples):
+    for n in range(1, codec.MAX_ARRAY_DIGITS + 1):
+        digits, clamp_count = codec.encode_stream(np.array(samples, dtype=np.int64), n)
+        expected = [scale_oracle(x, n) for x in samples]
+        assert digits.shape == (len(samples), n)
+        assert [tuple(row) for row in digits.tolist()] == [
+            codec.to_balanced_ternary(t, n).digits for t, _ in expected
+        ]
+        assert clamp_count == sum(c for _, c in expected)
+        # Odd symmetry: negating every sample (-2**31 has no negation) negates every digit.
+        mirror = [x for x in samples if x != codec.SAMPLE_MIN]
+        pos, pos_clamped = codec.encode_stream(np.array(mirror, dtype=np.int64), n)
+        neg, neg_clamped = codec.encode_stream(-np.array(mirror, dtype=np.int64), n)
+        assert np.array_equal(neg, -pos)
+        assert neg_clamped == pos_clamped == 0
 
 
 def test_array_codec_rejects_digits_beyond_int64():

@@ -3,11 +3,18 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternadac import codec, dac, network
 from ternadac.errors import CalibrationError, ConfigError, RangeError
+
+from oracles import loop_current_solve
 
 LADDER = dac.StageKind.LADDER_4R3R
 POWER3 = dac.StageKind.POWER3_WEIGHTED
@@ -304,6 +311,27 @@ def test_fast_path_matches_direct_solve_perturbed(calibrated):
         )
 
 
+def test_tiny_entry_resistor_matches_mesh_oracle(calibrated):
+    # A 1e-9 ohm entry element (calibrate's lower bracket) is a valid config:
+    # the direct solves must accept it. Its 1e9 S stamp rounds the ~0.1 S of
+    # the other branches at the output node to ~1e-7 S, so nodal analysis in
+    # float64 is only good to ~1e-6 here; mesh analysis, which sums the tiny
+    # resistance instead, stays exact (checked against a rational solve).
+    stages = list(calibrated.stages)
+    stages[6] = dataclasses.replace(stages[6], entry_ohms=1e-9)
+    config = dataclasses.replace(calibrated, stages=tuple(stages))
+    converter = dac.Dac(config)
+    net = dac._layout(config).network(config.load_ohms)
+    p, q = net.port
+    rng = np.random.default_rng(37)
+    for row in random_words(rng, 20, 20):
+        d = codec.DigitVector.from_array(row)
+        direct = converter.output_direct(d)
+        assert converter.output(d) == pytest.approx(direct, rel=1e-9, abs=1e-15)
+        v, _ = loop_current_solve(net, converter.source_levels(d))
+        assert direct == pytest.approx(v[p] - v[q], rel=1e-5)
+
+
 def test_monotone_output_exhaustive_six_stages():
     converter = dac.Dac(uniform_ladder(n=6))
     m = codec.ternary_full_scale(6)
@@ -440,6 +468,25 @@ def test_config_file_round_trip(tmp_path, calibrated):
     dac.write_config(noisy, path)
     back = dac.read_config(path)
     assert back == noisy
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    tolerance=st.floats(0.0, 0.5),
+    load_ohms=st.sampled_from([32.0, 4.7, math.inf]),
+    r_on=st.floats(0.0, 10.0),
+)
+def test_config_file_round_trip_property(calibrated, seed, tolerance, load_ohms, r_on):
+    # Calibrated (seed None) or perturbed, with any load, switch resistance and
+    # tolerance: every field comes back bit for bit.
+    config = dataclasses.replace(calibrated, tolerance=tolerance, load_ohms=load_ohms, r_on=r_on)
+    if seed is not None:
+        config = dac.perturb(config, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dac.cfg"
+        dac.write_config(config, path)
+        assert dac.read_config(path) == config
 
 
 def test_config_file_errors(tmp_path):

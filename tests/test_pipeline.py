@@ -84,8 +84,8 @@ def test_silence_trace_is_quiescent(calibrated):
     spec = StimulusSpec(kind=StimulusKind.SILENCE, duration_s=0.01)
     trace = pipeline.simulate(pipeline.generate(spec), calibrated)
     assert not trace.v_out.any()
-    assert not trace.i_rail_90.any()
-    assert not trace.i_rail_12.any()
+    assert list(trace.rail_currents) == [90.0, 12.0]
+    assert not any(series.any() for series in trace.rail_currents.values())
     assert not trace.digit_toggles.any()
     assert trace.clamp_count == 0
     assert len(trace) == spec.n_samples
@@ -145,7 +145,7 @@ def test_simulate_digits_matches_stream_path(calibrated):
     via_stream = pipeline.simulate(stream, calibrated)
     via_digits = pipeline.simulate_digits(digits, calibrated, clamp_count=clamp)
     assert np.array_equal(via_stream.v_out, via_digits.v_out)
-    assert np.array_equal(via_stream.i_rail_90, via_digits.i_rail_90)
+    assert np.array_equal(via_stream.rail_currents[90.0], via_digits.rail_currents[90.0])
 
 
 def test_clamp_counter_propagates(calibrated):
@@ -174,5 +174,5 @@ def test_identical_runs_identical_traces(calibrated):
     a = pipeline.simulate(stream, calibrated, seed=1)
     b = pipeline.simulate(stream, calibrated, seed=1)
     assert np.array_equal(a.v_out, b.v_out)
-    assert np.array_equal(a.i_rail_90, b.i_rail_90)
+    assert np.array_equal(a.rail_currents[90.0], b.rail_currents[90.0])
     assert np.array_equal(a.digit_toggles, b.digit_toggles)
