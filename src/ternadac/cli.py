@@ -192,6 +192,7 @@ def _cmd_simulate(args) -> int:
             amp=spec.amplitude_dbfs,
             freq=spec.frequency_hz,
             duration=spec.duration_s,
+            clamped=clamp_count,
         )
     trace = pipeline.simulate_digits(
         digits,

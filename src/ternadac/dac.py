@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .codec import DigitVector, split_differential
 from .errors import CalibrationError, ConfigError, RangeError
@@ -528,53 +527,56 @@ def build_prototype() -> DacConfig:
     return DacConfig(stages=tuple(stages), load_ohms=32.0, r_on=0.0, tolerance=0.05)
 
 
-def _stage_weights_open(config: DacConfig) -> np.ndarray:
-    """Open-circuit differential volts per +1 digit, one entry per stage."""
-    return _digit_weights(config, NetworkSolver(_layout(config).network(math.inf)).port_weights)[0]
-
-
 def calibrate(config: DacConfig) -> DacConfig:
     """Adjust section-boundary entry resistors for exact power-of-3 weighting.
 
-    Each boundary has one free element (the downstream section's entry
-    resistor). The boundary ratios depend lower-triangularly on the entry
-    values, so one sequential pass of monotone one-dimensional root-finding
-    calibrates every boundary; ratios interior to a section are exact by
-    construction on nominal element values.
+    The downstream section of a boundary reaches the output node only through
+    its entry resistor, so the boundary's open-circuit weight ratio is affine
+    in that resistance (Middlebrook's extra element theorem, IEEE Trans.
+    Education 32(3), 1989): two trial values on one open network give the
+    exact root. A ratio also depends on the upstream entry, so the boundaries
+    are set in order. Present entry values are not read, so calibrating a
+    calibrated config returns an equal config.
     """
     sections = _sections(config)
-    if len(sections) < 2:
+    boundaries = [(a.indices[-1], b.indices[0]) for a, b in zip(sections, sections[1:])]
+    if not boundaries:
         return config
-    cfg = config
-    for b in range(1, len(sections)):
-        upstream = sections[b - 1].indices[-1]
-        downstream = sections[b].indices[0]
-
-        def ratio_error(entry: float) -> float:
-            stages = list(cfg.stages)
-            stages[downstream] = dataclasses.replace(stages[downstream], entry_ohms=entry)
-            w = _stage_weights_open(dataclasses.replace(cfg, stages=tuple(stages)))
-            return w[upstream] / w[downstream] - WEIGHT_RATIO
-
-        lo, hi = 1e-9, 1e15
-        if ratio_error(lo) > 0 or ratio_error(hi) < 0:
+    stages = [dataclasses.replace(st, entry_ohms=None) for st in config.stages]
+    layout = _layout(dataclasses.replace(config, stages=stages))
+    solver = NetworkSolver(layout.network(math.inf))
+    branch = {layout.labels[e]: b for b, e in enumerate(layout.resistor_elements)}
+    g = solver.conductances.copy()
+    for upstream, downstream in boundaries:
+        entry = [branch[f"{half}.s{downstream + 1:02d}.entry"] for half in ("upper", "lower")]
+        # Trial entries of R and 2R, with R near the section's own impedance
+        # (2·r_base for a plain 4R-3R chain), so the secant is well conditioned.
+        r = 4.0 * stages[downstream].r_base
+        rows = np.tile(g, (2, 1))
+        rows[0, entry] = 1.0 / r
+        rows[1, entry] = 0.5 / r
+        w = _digit_weights(config, solver.batch_port_weights(rows))[0]
+        ratio = (w[:, upstream] / w[:, downstream]).tolist()
+        root = r * (1.0 + (WEIGHT_RATIO - ratio[0]) / (ratio[1] - ratio[0]))
+        if not (math.isfinite(root) and root > 0):
             raise CalibrationError(
                 f"weight-ratio target at the stage {upstream + 1} -> {downstream + 1} "
                 "boundary is unreachable with a positive entry resistance"
             )
-        entry = float(brentq(ratio_error, lo, hi, xtol=1e-12, rtol=8.9e-16))
-        stages = list(cfg.stages)
-        stages[downstream] = dataclasses.replace(stages[downstream], entry_ohms=entry)
-        cfg = dataclasses.replace(cfg, stages=tuple(stages))
+        g[entry] = 1.0 / root
+        stages[downstream] = dataclasses.replace(stages[downstream], entry_ohms=root)
+    cfg = dataclasses.replace(config, stages=stages)
 
-    w = _stage_weights_open(cfg)
-    for b in range(1, len(sections)):
-        upstream = sections[b - 1].indices[-1]
-        downstream = sections[b].indices[0]
+    # Check the returned config as built, so an entry hidden by an element
+    # override is caught.
+    final = _layout(cfg)
+    g = 1.0 / final.branch_ohms(final.values[None], math.inf)
+    w = _digit_weights(cfg, solver.batch_port_weights(g))[0][0].tolist()
+    for upstream, downstream in boundaries:
         ratio = w[upstream] / w[downstream]
         if abs(ratio - WEIGHT_RATIO) > 10 * RATIO_RTOL * WEIGHT_RATIO:
             raise CalibrationError(
-                f"calibration failed to converge at the stage {upstream + 1} -> "
+                f"calibrated config misses ratio 3 at the stage {upstream + 1} -> "
                 f"{downstream + 1} boundary (ratio {ratio!r})"
             )
     return cfg

@@ -6,8 +6,8 @@ keeps the graph in stamp form, so a system matrix is a conductance vector
 applied to a fixed incidence stamp. Per-source superposition weights come
 from one stacked dense solve over any number of conductance vectors (the
 network's own, or a batch of perturbed ones); direct solves and Thevenin
-extraction reuse one LU factorisation (networks here stay well under a
-hundred nodes).
+extraction are one dense ``numpy.linalg.solve`` each (networks here stay
+well under a hundred nodes).
 
 A source with a positive series resistance is stamped as its Norton
 equivalent, which keeps the matrix size down; a source with zero series
@@ -17,13 +17,11 @@ reported positive out of the source's positive terminal in both cases.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SolverError
 
@@ -36,8 +34,8 @@ def _solved(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     A column passes when it is finite and its residual is within
     ``RESIDUAL_RTOL·(|A|·|x| + max(|b|, 1))``: the ``|A|·|x|`` term makes this
-    a backward-error test, so a correct solve passes at any conductance scale
-    (calibration brackets an entry resistor down to 1e-9 ohm).
+    a backward-error test, so a correct solve passes at any conductance scale,
+    including a config that holds a 1e-9 ohm element.
     """
     residual = np.linalg.norm(a @ x - b, axis=-2)
     scale = np.linalg.norm(a, axis=(-2, -1))[..., None] * np.linalg.norm(x, axis=-2)
@@ -153,10 +151,11 @@ class NetworkSolver:
     CAS 22(6), 1975). The network's own conductances give the single-network
     paths; :meth:`batch_port_weights` solves any stack of conductance vectors
     on the same topology, which is how perturbed converters are evaluated.
+    Every solve, direct or stacked, is LAPACK gesv through ``numpy.linalg.solve``.
 
-    Immutable after construction apart from its caches (unit solutions, LU
-    factorisation). Switch states of a DAC only change source levels, never
-    the resistive graph, so one set of unit solutions serves every digit state.
+    Immutable after construction apart from its cache of unit solutions.
+    Switch states of a DAC only change source levels, never the resistive
+    graph, so one set of unit solutions serves every digit state.
     """
 
     def __init__(self, net: ResistiveNetwork):
@@ -250,17 +249,6 @@ class NetworkSolver:
         vq = x[..., q - 1, :] if q > 0 else ground
         return vp - vq
 
-    @cached_property
-    def _lu(self):
-        try:
-            with warnings.catch_warnings():
-                # An exactly singular matrix only warns here; the zero pivot is
-                # caught at solve time and raised as a SolverError.
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                return scipy.linalg.lu_factor(self._matrix)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SolverError(f"singular network system: {exc}") from exc
-
     def _rhs(self, source_levels: Sequence[float]) -> np.ndarray:
         levels = np.asarray(source_levels, dtype=float)
         if levels.shape != (self.n_sources,):
@@ -270,9 +258,10 @@ class NetworkSolver:
         return self._source_rhs @ levels
 
     def _solve_raw(self, b: np.ndarray) -> np.ndarray:
-        x = scipy.linalg.lu_solve(self._lu, b)
-        if not np.all(np.isfinite(x)):
-            raise SolverError("singular network system (zero pivot in factorisation)")
+        try:
+            x = np.linalg.solve(self._matrix, b)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular network system: {exc}") from exc
         if not _solved(self._matrix, x[:, None], b[:, None]).all():
             worst = int(np.argmax(np.abs(self._matrix @ x - b)))
             if worst < self._n_nodes - 1:

@@ -149,6 +149,22 @@ def test_simulate_csv_and_digit_dump(tmp_path, calibrated_config_file):
     assert [r[1] for r in rows2] == [r[1] for r in rows]
 
 
+def test_simulate_manifest_counts_clamped_samples(tmp_path, calibrated_config_file):
+    # A full-scale sine at fs/4 hits -1.0 on 16 of its 64 samples; -2**31 lies
+    # outside the symmetric int32 range, so those samples clamp.
+    out = tmp_path / "trace.csv"
+    dump = tmp_path / "digits.txt"
+    args = ["simulate", "--config", calibrated_config_file, "--kind", "sine", "--amp", 0,
+            "--freq", 16000, "--duration", "0.001", "--out", out, "--dump-digits", dump]
+    assert run(args) == 0
+    assert " clamped=16 " in out.read_text().splitlines()[1]
+    # Replayed digits were clamped, if at all, when they were encoded.
+    out2 = tmp_path / "replay.csv"
+    args = ["simulate", "--config", calibrated_config_file, "--digits-in", dump, "--out", out2]
+    assert run(args) == 0
+    assert "clamped=" not in out2.read_text().splitlines()[1]
+
+
 def test_simulate_rejects_malformed_dump(tmp_path, capsys):
     dump = tmp_path / "digits.txt"
     dump.write_text("+0-\n", encoding="ascii")

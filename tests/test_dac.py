@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ternadac import codec, dac, network
@@ -178,8 +178,8 @@ def test_calibrated_entry_values(calibrated):
     # and the supply step forces 1/g = 3^5 * 12 * 5400 / 90 = 524880 ohms total.
     entries = {k: s.entry_ohms for k, s in enumerate(calibrated.stages) if s.entry_ohms}
     assert set(entries) == {6, 12}
-    assert entries[6] == pytest.approx(1400.0, rel=1e-6)
-    assert entries[12] == pytest.approx(514880.0, rel=1e-6)
+    assert entries[6] == pytest.approx(1400.0, rel=1e-12)
+    assert entries[12] == pytest.approx(514880.0, rel=1e-12)
 
 
 def test_calibrated_ratios_all_three(calibrated):
@@ -234,6 +234,66 @@ def test_calibrate_unreachable_boundary_raises():
     )
     with pytest.raises(CalibrationError, match="1 -> 2"):
         dac.calibrate(config)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_calibrate_rejects_entry_hidden_by_override(calibrated, seed):
+    # perturb() pins every element, the entries included, so no entry value
+    # can reach ratio 3 and the returned config must be refused.
+    with pytest.raises(CalibrationError, match="6 -> 7"):
+        dac.calibrate(dac.perturb(calibrated, seed))
+
+
+@st.composite
+def reachable_configs(draw):
+    """2-3 ladder sections behind an optional power-of-3 bank.
+
+    With its entry shorted, each downstream section's first source drives at
+    least 1/2.42 of the short-circuit current of the upstream section's last
+    source (its string is at most 3·0.8 times as large relative to its supply,
+    and ``r_on`` at most 2 % of any string), so the boundary ratio is below 3
+    at zero entry and every boundary is reachable with a positive entry.
+    """
+    stages = []
+    v = draw(st.floats(1.0, 200.0))
+    ladders = draw(st.integers(2, 3))
+    bank = draw(st.booleans())
+    if bank:
+        r = draw(st.floats(10.0, 1e4))
+        for k in range(draw(st.integers(1, 3))):
+            stages.append(dac.StageSpec(POWER3, r * 3.0**k, v, draw(st.integers(1, 9))))
+        source_ohms = stages[-1].r_base / stages[-1].parallel_strings
+    else:
+        r, p = draw(st.floats(10.0, 1e4)), draw(st.integers(1, 3))
+        stages += [dac.StageSpec(LADDER, r, v, p)] * draw(st.integers(1, 3))
+        source_ohms = 3.0 * r / p
+    for _ in range(ladders - (not bank)):
+        v_next = v * draw(st.floats(0.05, 1.0))
+        p = draw(st.integers(1, 3))
+        r = p * draw(st.floats(0.05, 0.8)) * source_ohms * v_next / v
+        v = v_next
+        stages += [dac.StageSpec(LADDER, r, v, p)] * draw(st.integers(1, 3))
+        source_ohms = 3.0 * r / p
+    config = dac.DacConfig(
+        stages=tuple(stages),
+        load_ohms=draw(st.sampled_from([math.inf, 32.0]) | st.floats(1.0, 1e4)),
+        r_on=draw(st.floats(0.0, 0.02)) * min(s.r_base / s.parallel_strings for s in stages),
+    )
+    # Two ladder sections with equal (r_base, supply_v) would merge into one.
+    assume(len(dac._sections(config)) == bank + ladders)
+    return config
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=reachable_configs())
+def test_calibrate_reaches_ratio_three_on_random_configs(config):
+    calibrated = dac.calibrate(config)
+    w = dac.weights(calibrated).w_open
+    sections = dac._sections(config)
+    for up, down in zip(sections, sections[1:]):
+        ratio = w[up.indices[-1]] / w[down.indices[0]]
+        assert ratio == pytest.approx(3.0, rel=dac.RATIO_RTOL)
+    assert dac.calibrate(calibrated) == calibrated
 
 
 def test_loaded_weights_follow_output_divider(calibrated):
@@ -312,7 +372,7 @@ def test_fast_path_matches_direct_solve_perturbed(calibrated):
 
 
 def test_tiny_entry_resistor_matches_mesh_oracle(calibrated):
-    # A 1e-9 ohm entry element (calibrate's lower bracket) is a valid config:
+    # A 1e-9 ohm entry element is a valid config:
     # the direct solves must accept it. Its 1e9 S stamp rounds the ~0.1 S of
     # the other branches at the output node to ~1e-7 S, so nodal analysis in
     # float64 is only good to ~1e-6 here; mesh analysis, which sums the tiny

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ternadac
 from ternadac import network
 from ternadac.errors import SolverError
 
@@ -273,3 +279,12 @@ def test_non_finite_unit_solve_raises(monkeypatch):
     corrupt_solve(monkeypatch, offset=np.nan)
     with pytest.raises(SolverError):
         solver.port_weights
+
+
+def test_import_loads_no_scipy():
+    # The library is numpy-only; a fresh interpreter shows what importing it pulls in.
+    code = "import sys, ternadac; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=str(Path(ternadac.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
