@@ -59,7 +59,7 @@ def _write_csv(path, manifest: RunManifest, columns: list[str], rows) -> None:
             fh.write(header + "\n")
             for row in rows:
                 fh.write(",".join(map(str, row)) + "\n")
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 
@@ -89,23 +89,23 @@ def _stimulus_from_args(args, fs_hz: float) -> pipeline.StimulusSpec:
 def _read_sample_file(path) -> np.ndarray:
     samples: list[int] = []
     try:
-        fh = open(path, "r", encoding="ascii")
-    except OSError as exc:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = int(line)
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}:{lineno}: not an integer sample: {line!r}"
-                ) from None
-            if not codec.SAMPLE_MIN <= value <= codec.SAMPLE_FULL_SCALE:
-                raise FileFormatError(f"{path}:{lineno}: sample {value} outside 32-bit range")
-            samples.append(value)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = int(line)
+        except ValueError:
+            raise FileFormatError(
+                f"{path}:{lineno}: not an integer sample: {line!r}"
+            ) from None
+        if not codec.SAMPLE_MIN <= value <= codec.SAMPLE_FULL_SCALE:
+            raise FileFormatError(f"{path}:{lineno}: sample {value} outside 32-bit range")
+        samples.append(value)
     return np.array(samples, dtype=np.int64)
 
 

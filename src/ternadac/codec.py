@@ -254,46 +254,83 @@ def split_differential(d: DigitVector) -> SwitchStates:
 # One line per sample, n_digits characters from {+, 0, -}, most significant
 # first. Written by `ternadac encode`, readable by `ternadac simulate`.
 
+#: Dump character of digit d is _DUMP_CHARS[d + 1].
+_DUMP_CHARS = np.frombuffer(b"-0+", dtype=np.uint8)
+#: Digit of dump byte c is _DUMP_DIGITS[c]; _NOT_A_DIGIT marks every other byte.
+_NOT_A_DIGIT = 2
+_DUMP_DIGITS = np.full(256, _NOT_A_DIGIT, dtype=np.int8)
+_DUMP_DIGITS[_DUMP_CHARS] = (-1, 0, 1)
+
 
 def write_digit_dump(path, digits: np.ndarray, header_lines: Iterable[str] = ()) -> None:
-    """Write an array of shape (count, n_digits) in the textual dump format."""
+    """Write an array of shape (count, n_digits) in the textual dump format.
+
+    Raises RangeError unless ``digits`` is 2-D with every digit in {-1, 0, +1},
+    and FileFormatError when the file cannot be written.
+    """
     digits = np.asarray(digits)
-    lut = np.array(["-", "0", "+"])
-    with open(path, "w", encoding="ascii") as fh:
-        for line in header_lines:
-            fh.write(line if line.endswith("\n") else line + "\n")
-        for row in digits:
-            fh.write("".join(lut[row + 1]) + "\n")
+    if digits.ndim != 2 or digits.dtype.kind not in "biu":
+        raise RangeError(
+            f"digits must be a 2-D integer array (count, n_digits), got {digits.dtype} "
+            f"of shape {digits.shape}"
+        )
+    if digits.size and (digits.min() < -1 or digits.max() > 1):
+        raise RangeError("digit array holds values other than -1, 0 and +1")
+    count, n = digits.shape
+    block = np.empty((count, n + 1), dtype=np.uint8)
+    block[:, :n] = _DUMP_CHARS[digits.astype(np.int8, copy=False) + 1]
+    block[:, n] = ord("\n")
+    header = "".join(line if line.endswith("\n") else line + "\n" for line in header_lines)
+    try:
+        head = header.encode("ascii")
+        with open(path, "wb") as fh:
+            fh.write(head)
+            fh.write(block.data)
+    except (OSError, UnicodeEncodeError) as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def read_digit_dump(path, n_digits: int | None = None) -> np.ndarray:
     """Read a digit dump back into an int8 array of shape (count, n_digits).
 
-    Lines starting with '#' are ignored. Raises FileFormatError with the
+    Surrounding whitespace is stripped from each line, any line ending is
+    accepted, and blank lines and lines starting with '#' are ignored.
+    Raises FileFormatError when the file cannot be read as ASCII, and with the
     offending line number on malformed content.
     """
-    rows: list[list[int]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = [_CHAR_TO_DIGIT[c] for c in line]
-            except KeyError as exc:
-                raise FileFormatError(
-                    f"{path}:{lineno}: invalid digit character {exc.args[0]!r}"
-                ) from None
-            if n_digits is not None and len(row) != n_digits:
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected {n_digits} digits, found {len(row)}"
-                )
-            if rows and len(row) != len(rows[0]):
-                raise FileFormatError(
-                    f"{path}:{lineno}: inconsistent digit count {len(row)} != {len(rows[0])}"
-                )
-            rows.append(row)
-    if not rows:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    lines = list(map(str.strip, text.split("\n")))
+    kept = [k for k, line in enumerate(lines) if line and line[0] != "#"]
+    if not kept:
         width = n_digits if n_digits is not None else 0
         return np.empty((0, width), dtype=np.int8)
-    return np.array(rows, dtype=np.int8)
+    rows = list(map(lines.__getitem__, kept))
+    count = len(rows)
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=count)
+    body = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    digits = _DUMP_DIGITS[body]
+
+    # Report the first faulty row; within a row a bad character comes before
+    # a bad width, as when the file is checked line by line.
+    bad_chars = np.flatnonzero(digits == _NOT_A_DIGIT)
+    char_row = count
+    if bad_chars.size:
+        char_row = int(np.searchsorted(np.cumsum(widths), bad_chars[0], side="right"))
+    width = n_digits if n_digits is not None else int(widths[0])
+    wrong_widths = np.flatnonzero(widths != width)
+    width_row = int(wrong_widths[0]) if wrong_widths.size else count
+    if char_row < count and char_row <= width_row:
+        char = chr(body[bad_chars[0]])
+        raise FileFormatError(f"{path}:{kept[char_row] + 1}: invalid digit character {char!r}")
+    if width_row < count:
+        found = int(widths[width_row])
+        if n_digits is not None:
+            problem = f"expected {n_digits} digits, found {found}"
+        else:
+            problem = f"inconsistent digit count {found} != {width}"
+        raise FileFormatError(f"{path}:{kept[width_row] + 1}: {problem}")
+    return digits.reshape(count, width)

@@ -707,7 +707,7 @@ def read_config(path) -> DacConfig:
     try:
         with open(path, "r", encoding="ascii") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's solution paths: the mesh solver uses
-fundamental-loop currents instead of nodal analysis, and the scaling oracle
-uses exact rational arithmetic.
+fundamental-loop currents instead of nodal analysis, the scaling oracle
+uses exact rational arithmetic, and the digit-dump oracles write and read one
+line at a time instead of one array at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from collections import deque
 from fractions import Fraction
 
 import numpy as np
+
+from ternadac.errors import FileFormatError
 
 
 def scale_oracle(sample: int, n_digits: int) -> tuple[int, bool]:
@@ -114,3 +117,46 @@ def loop_current_solve(net, source_levels):
         voltages[node] = voltages[up] + drop if sign == +1 else voltages[up] - drop
     source_currents = np.array([branch_currents[b] for b in source_branch])
     return voltages, source_currents
+
+
+_DUMP_CHAR_TO_DIGIT = {"+": 1, "0": 0, "-": -1}
+
+
+def write_digit_dump_oracle(path, digits, header_lines=()) -> None:
+    """Digit dump written row by row, one character per digit."""
+    digits = np.asarray(digits)
+    lut = np.array(["-", "0", "+"])
+    with open(path, "w", encoding="ascii") as fh:
+        for line in header_lines:
+            fh.write(line if line.endswith("\n") else line + "\n")
+        for row in digits:
+            fh.write("".join(lut[row + 1]) + "\n")
+
+
+def read_digit_dump_oracle(path, n_digits=None) -> np.ndarray:
+    """Digit dump read line by line, raising at the first malformed line."""
+    rows: list[list[int]] = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                row = [_DUMP_CHAR_TO_DIGIT[c] for c in line]
+            except KeyError as exc:
+                raise FileFormatError(
+                    f"{path}:{lineno}: invalid digit character {exc.args[0]!r}"
+                ) from None
+            if n_digits is not None and len(row) != n_digits:
+                raise FileFormatError(
+                    f"{path}:{lineno}: expected {n_digits} digits, found {len(row)}"
+                )
+            if rows and len(row) != len(rows[0]):
+                raise FileFormatError(
+                    f"{path}:{lineno}: inconsistent digit count {len(row)} != {len(rows[0])}"
+                )
+            rows.append(row)
+    if not rows:
+        width = n_digits if n_digits is not None else 0
+        return np.empty((0, width), dtype=np.int8)
+    return np.array(rows, dtype=np.int8)

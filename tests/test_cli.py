@@ -173,6 +173,51 @@ def test_simulate_rejects_malformed_dump(tmp_path, capsys):
     assert "[IO]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-ascii"])
+def test_simulate_unreadable_dump_is_io_error(tmp_path, capsys, kind):
+    dump = tmp_path / "digits.txt"
+    if kind == "directory":
+        dump.mkdir()
+    elif kind == "non-ascii":
+        dump.write_bytes(b"+0-\n" + "\u00e9\n".encode("utf-8"))
+    code = run(["simulate", "--digits-in", dump, "--out", tmp_path / "t.csv"])
+    assert code == 5
+    assert "[IO]" in capsys.readouterr().err
+
+
+def test_encode_unwritable_dump_is_io_error(tmp_path, capsys):
+    out = tmp_path / "absent" / "digits.txt"
+    code = run(["encode", "--kind", "silence", "--duration", "0.001", "--out", out])
+    assert code == 5
+    assert "[IO]" in capsys.readouterr().err
+
+
+def test_encode_non_ascii_sample_file_is_io_error(tmp_path, capsys):
+    src = tmp_path / "samples.txt"
+    src.write_bytes(b"12\n" + "\u00e9\n".encode("utf-8"))
+    code = run(["encode", "--in", src, "--out", tmp_path / "d.txt"])
+    assert code == 5
+    assert "[IO]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["encode", "weights"])
+def test_non_ascii_output_path_is_io_error(tmp_path, capsys, subcommand):
+    # The manifest header records the path, and output files are ASCII.
+    args = [subcommand, "--out", tmp_path / "\u00e9.out"]
+    if subcommand == "encode":
+        args += ["--kind", "silence", "--duration", "0.001"]
+    assert run(args) == 5
+    assert "[IO]" in capsys.readouterr().err
+
+
+def test_non_ascii_config_is_config_error(tmp_path, capsys, calibrated_config_file):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(calibrated_config_file.read_bytes() + "# \u00e9\n".encode("utf-8"))
+    code = run(["weights", "--config", config, "--out", tmp_path / "w.csv"])
+    assert code == 2
+    assert "[CONFIG]" in capsys.readouterr().err
+
+
 # --- sweep / montecarlo / noise -----------------------------------------------
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ternadac import codec
 from ternadac.errors import FileFormatError, RangeError
 
-from oracles import scale_oracle
+from oracles import read_digit_dump_oracle, scale_oracle, write_digit_dump_oracle
 
 FULL_SCALE_20 = (3**20 - 1) // 2  # 1_743_392_200, by integer arithmetic
 
@@ -305,3 +305,106 @@ def test_digit_dump_reports_wrong_width(tmp_path):
     path.write_text("+0-\n+0\n", encoding="ascii")
     with pytest.raises(FileFormatError, match=":2:"):
         codec.read_digit_dump(path, 3)
+
+
+def test_digit_dump_writer_rejects_non_digits(tmp_path):
+    path = tmp_path / "digits.txt"
+    for digits in ([[0, 2, 0]], [[0, -2, 0]], [[0.5, 0, 0]], [0, 1, -1], [[[0, 1]]]):
+        with pytest.raises(RangeError):
+            codec.write_digit_dump(path, np.array(digits))
+
+
+# --- digit dump against the line-by-line oracles --------------------------------
+
+PRINTABLE = st.characters(min_codepoint=32, max_codepoint=126)
+PADDING = st.text(st.sampled_from(" \t"), max_size=2)
+LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+#: Characters that make a digit line malformed wherever they stand in it.
+BAD_CHAR = st.characters(max_codepoint=127).filter(lambda c: c not in "+0-#" and not c.isspace())
+DIGIT_ROWS = st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=40, max_size=40), max_size=8)
+
+
+@pytest.fixture(scope="module")
+def dump_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("dumps")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=DIGIT_ROWS,
+    header=st.lists(st.tuples(st.text(PRINTABLE, max_size=12), st.booleans()), max_size=3),
+)
+def test_dump_writer_bytes_match_oracle_for_every_width(dump_dir, rows, header):
+    header_lines = [text + "\n" if newline else text for text, newline in header]
+    wide = np.array(rows, dtype=np.int8).reshape(len(rows), 40)
+    for n in range(1, codec.MAX_ARRAY_DIGITS + 1):
+        digits = wide[:, :n]
+        codec.write_digit_dump(dump_dir / "fast.txt", digits, header_lines)
+        write_digit_dump_oracle(dump_dir / "oracle.txt", digits, header_lines)
+        assert (dump_dir / "fast.txt").read_bytes() == (dump_dir / "oracle.txt").read_bytes()
+
+
+@st.composite
+def dump_files(draw, faulty: bool):
+    """(file bytes, n_digits argument) of a dump in any layout the reader accepts.
+
+    With ``faulty``, one to three rows get a bad character, a wrong width or both.
+    """
+    n = draw(st.integers(1, codec.MAX_ARRAY_DIGITS))
+    rows = draw(st.lists(st.text(st.sampled_from("-0+"), min_size=n, max_size=n),
+                         min_size=2 if faulty else 0, max_size=8))
+    if faulty:
+        # Faults go on distinct rows and leave at least one row intact, so
+        # every faulty file is malformed with or without n_digits.
+        faulty_rows = st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                               max_size=min(3, len(rows) - 1), unique=True)
+        for k in draw(faulty_rows):
+            row = rows[k]
+            bad_char, width_change = draw(st.sampled_from([(True, 0), (False, -1), (False, 1),
+                                                           (True, -1), (True, 1)]))
+            if bad_char:
+                p = draw(st.integers(0, len(row) - 1))
+                row = row[:p] + draw(BAD_CHAR) + row[p + 1 :]
+            if width_change < 0 and len(row) > 1:
+                row = row[:-1]
+            elif width_change:
+                row = row + draw(st.sampled_from("-0+"))
+            rows[k] = row
+    comment = st.builds(lambda pad, text: pad + "#" + text, PADDING, st.text(PRINTABLE, max_size=8))
+    filler = st.lists(st.one_of(comment, PADDING), max_size=2)
+    lines = []
+    for row in rows:
+        lines += draw(filler)
+        lines.append(draw(PADDING) + row + draw(PADDING))
+    lines += draw(filler)
+    ends = [draw(LINE_END) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text.encode("ascii"), draw(st.sampled_from([n, None]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dump=dump_files(faulty=False))
+def test_dump_reader_matches_oracle_on_valid_files(dump_dir, dump):
+    data, n_digits = dump
+    path = dump_dir / "valid.txt"
+    path.write_bytes(data)
+    expected = read_digit_dump_oracle(path, n_digits)
+    got = codec.read_digit_dump(path, n_digits)
+    assert got.dtype == np.int8
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dump=dump_files(faulty=True))
+def test_dump_reader_reports_the_oracles_line(dump_dir, dump):
+    data, n_digits = dump
+    path = dump_dir / "faulty.txt"
+    path.write_bytes(data)
+    with pytest.raises(FileFormatError) as expected:
+        read_digit_dump_oracle(path, n_digits)
+    with pytest.raises(FileFormatError) as got:
+        codec.read_digit_dump(path, n_digits)
+    assert str(got.value) == str(expected.value)
