@@ -42,10 +42,8 @@ from .dac import (
     build_prototype,
     build_topology,
     calibrate,
-    dac_output,
     perturb,
     read_config,
-    supply_currents,
     trial_weights,
     weights,
     write_config,
@@ -63,12 +61,8 @@ from .network import (
     Resistor,
     ResistiveNetwork,
     Solution,
-    TheveninEquivalent,
     VoltageSource,
     netlist_dump,
-    solve,
-    superposition_weights,
-    thevenin,
 )
 from .pipeline import (
     SimulationTrace,
@@ -96,11 +90,7 @@ __all__ = [
     "VoltageSource",
     "ResistiveNetwork",
     "Solution",
-    "TheveninEquivalent",
     "NetworkSolver",
-    "solve",
-    "thevenin",
-    "superposition_weights",
     "netlist_dump",
     # dac
     "StageKind",
@@ -113,8 +103,6 @@ __all__ = [
     "build_prototype",
     "calibrate",
     "weights",
-    "dac_output",
-    "supply_currents",
     "perturb",
     "trial_weights",
     "read_config",

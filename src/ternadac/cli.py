@@ -50,13 +50,13 @@ def _table_rows(columns):
 
 
 def _write_csv(path, manifest: RunManifest, columns: list[str], rows) -> None:
-    """Manifest, header and rows; every cell is written as ``str(cell)``."""
+    """Manifest, header and rows, all or nothing; every cell is written as ``str(cell)``."""
     header = ",".join(columns)
+    head = "".join(line + "\n" for line in manifest.header_lines(header)) + header + "\n"
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            for line in manifest.header_lines(header):
-                fh.write(line + "\n")
-            fh.write(header + "\n")
+        head.encode("ascii")  # fails on a path the header cannot hold, before any file is made
+        with codec.replacing(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
+            fh.write(head)
             for row in rows:
                 fh.write(",".join(map(str, row)) + "\n")
     except (OSError, UnicodeEncodeError) as exc:

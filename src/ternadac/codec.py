@@ -7,6 +7,8 @@ drawn from {-1, 0, +1}; the codec is an exact bijection on that range.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -262,11 +264,24 @@ _DUMP_DIGITS = np.full(256, _NOT_A_DIGIT, dtype=np.int8)
 _DUMP_DIGITS[_DUMP_CHARS] = (-1, 0, 1)
 
 
+@contextmanager
+def replacing(path) -> Iterator[str]:
+    """Temporary name beside ``path``, moved onto it on success and removed on failure."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_digit_dump(path, digits: np.ndarray, header_lines: Iterable[str] = ()) -> None:
     """Write an array of shape (count, n_digits) in the textual dump format.
 
     Raises RangeError unless ``digits`` is 2-D with every digit in {-1, 0, +1},
-    and FileFormatError when the file cannot be written.
+    and FileFormatError, leaving ``path`` as it was, when the file cannot be written.
     """
     digits = np.asarray(digits)
     if digits.ndim != 2 or digits.dtype.kind not in "biu":
@@ -283,7 +298,7 @@ def write_digit_dump(path, digits: np.ndarray, header_lines: Iterable[str] = ())
     header = "".join(line if line.endswith("\n") else line + "\n" for line in header_lines)
     try:
         head = header.encode("ascii")
-        with open(path, "wb") as fh:
+        with replacing(path) as tmp, open(tmp, "wb") as fh:
             fh.write(head)
             fh.write(block.data)
     except (OSError, UnicodeEncodeError) as exc:

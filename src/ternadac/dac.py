@@ -12,6 +12,12 @@ consecutive stage weights step by exactly 3 across section boundaries
 Switches are ideal source selection plus an optional state-independent
 on-resistance, so the resistive graph is fixed and one factorisation plus a
 superposition weight table evaluates any digit state.
+
+The load is applied after one open-network solve, whose port column gives
+``z_out`` and each source's current per port amp ``h``: loaded weights are the
+open ones times :func:`load_divider` (Thevenin) and loaded source currents are
+``J_open - h ⊗ w_loaded/load_ohms`` (compensation theorem; Desoer & Kuh,
+*Basic Circuit Theory*, 1969). Only the reference paths build the loaded network.
 """
 
 from __future__ import annotations
@@ -160,12 +166,11 @@ class _Layout:
     groups: np.ndarray  # (n_sources, widest group) element indices
     r_on: float
 
-    def branch_ohms(self, element_ohms: np.ndarray, load_ohms: float) -> np.ndarray:
-        """Ohms of every network branch for element rows of shape (T, n_elements).
+    def branch_ohms(self, element_ohms: np.ndarray) -> np.ndarray:
+        """Ohms of every open-network branch for element rows of shape (T, n_elements).
 
-        Columns follow :meth:`network`: resistors, the load when finite, then
-        sources. Each row is computed alone, so a row's value does not depend
-        on the other rows.
+        Columns follow :meth:`network`: resistors, then sources. Each row is
+        computed alone, so a row's value does not depend on the other rows.
         """
         t, n_el = element_ohms.shape
         inverse = np.zeros((t, n_el + 1))  # the extra zero column pads the groups
@@ -173,25 +178,22 @@ class _Layout:
         strings = inverse[:, self.groups[:, 0]]
         for k in range(1, self.groups.shape[1]):
             strings = strings + inverse[:, self.groups[:, k]]
-        columns = [element_ohms[:, self.resistor_elements]]
-        if math.isfinite(load_ohms):
-            columns.append(np.full((t, 1), load_ohms))
-        columns.append(self.r_on + 1.0 / strings)
-        return np.concatenate(columns, axis=1)
+        return np.concatenate(
+            [element_ohms[:, self.resistor_elements], self.r_on + 1.0 / strings], axis=1
+        )
 
     def network(self, load_ohms: float) -> ResistiveNetwork:
         """The network with nominal element values and the given load (inf = open)."""
-        ohms = self.branch_ohms(self.values[None], load_ohms)[0].tolist()
-        nodes = list(self.resistor_nodes)
+        ohms = self.branch_ohms(self.values[None])[0].tolist()
+        resistors = [Resistor(a, b, r) for (a, b), r in zip(self.resistor_nodes, ohms)]
         if math.isfinite(load_ohms):
-            nodes.append((1, 2))
-        resistors = tuple(Resistor(a, b, r) for (a, b), r in zip(nodes, ohms))
+            resistors.append(Resistor(1, 2, load_ohms))  # after the others, across the port
         sources = tuple(
             VoltageSource(node=node, series_ohms=r)
-            for node, r in zip(self.source_nodes, ohms[len(nodes) :])
+            for node, r in zip(self.source_nodes, ohms[len(self.resistor_nodes) :])
         )
         name = "dac" + (" loaded" if math.isfinite(load_ohms) else " open")
-        return ResistiveNetwork(resistors=resistors, sources=sources, port=(1, 2), name=name)
+        return ResistiveNetwork(resistors=tuple(resistors), sources=sources, port=(1, 2), name=name)
 
 
 def _layout(config: DacConfig) -> _Layout:
@@ -286,7 +288,9 @@ class WeightTable:
 
     Positive and negative digit weights are stored separately; they are equal
     on a symmetric (unperturbed) converter. ``w_open`` is the symmetrised
-    open-circuit view; the loaded weights drive every output evaluation.
+    open-circuit view. The loaded weights, which drive every output
+    evaluation, are the open ones times ``load_divider(z_out, load_ohms)``;
+    they equal the open ones exactly for an open port (``load_ohms = inf``).
     """
 
     w_pos_open: np.ndarray
@@ -308,6 +312,11 @@ class WeightTable:
     def v_full_scale(self) -> float:
         """Open-circuit peak differential volts with every digit at +1."""
         return float(self.w_pos_open.sum())
+
+
+def load_divider(z_out, load_ohms: float):
+    """Loaded over open port volts, ``1/(1 + z_out/load_ohms)``: exactly 1 for an open port."""
+    return 1.0 / (1.0 + z_out / load_ohms)
 
 
 def _digit_weights(config: DacConfig, port_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,38 +341,30 @@ def indicator_output(
     return pos @ w_pos - neg @ w_neg
 
 
-def _table_output(digits: np.ndarray, wt: WeightTable) -> np.ndarray:
-    """Loaded output volts of digit words (count, n_digits) from a weight table."""
-    if digits.shape[1] != wt.n_digits:
-        raise RangeError(f"digit count {digits.shape[1]} does not match {wt.n_digits} stages")
-    return indicator_output(*indicators(digits), wt.w_pos_loaded, wt.w_neg_loaded)
-
-
 #: Digit words per block in :meth:`Dac.rail_currents_array`, which bounds its
 #: working memory (about 1 kB per word on the prototype) on long records.
 RAIL_BLOCK = 65536
 
 
 class Dac:
-    """Assembled converter with cached solvers and digit-state fast paths.
+    """Assembled converter: one open-network solver and digit-state fast paths.
 
-    Immutable after construction (the weight table's arrays are read-only);
+    Immutable after construction (the weight table's arrays are read-only)
+    apart from the loaded network the reference paths build on first use;
     concurrent evaluation over disjoint digit arrays is safe.
     """
 
     def __init__(self, config: DacConfig):
         self.config = config
-        layout = _layout(config)
-        self._open = NetworkSolver(layout.network(math.inf))
-        if math.isfinite(config.load_ohms):
-            self._loaded = NetworkSolver(layout.network(config.load_ohms))
-        else:
-            self._loaded = self._open
+        self._open = NetworkSolver(_layout(config).network(math.inf))
         w_pos_open, w_neg_open = _digit_weights(config, self._open.port_weights)
-        w_pos_loaded, w_neg_loaded = _digit_weights(config, self._loaded.port_weights)
+        self.z_out = self._open.output_impedance()
+        divider = load_divider(self.z_out, config.load_ohms)
+        w_pos_loaded, w_neg_loaded = w_pos_open * divider, w_neg_open * divider
         for w in (w_pos_open, w_neg_open, w_pos_loaded, w_neg_loaded):
             w.setflags(write=False)
-        self.z_out = float(self._open.output_impedance())
+        # Port volts per source volt into the load, over the load: its current.
+        self._load_amps = self._open.port_weights * (divider / config.load_ohms)
         self._table = WeightTable(
             w_pos_open=w_pos_open,
             w_neg_open=w_neg_open,
@@ -395,17 +396,21 @@ class Dac:
         lower = [self._volts[k] * s.value for k, s in enumerate(states.lower)]
         return np.array(upper + lower, dtype=float)
 
-    def output(self, d: DigitVector) -> float:
-        """Loaded differential output volts via the weight-table fast path."""
-        return dac_output(d, self._table)
+    @cached_property
+    def _loaded(self) -> NetworkSolver:  # the reference paths' network, load included
+        return NetworkSolver(_layout(self.config).network(self.config.load_ohms))
 
     def output_direct(self, d: DigitVector) -> float:
         """Reference path: full network solve of the switch state into the load."""
         return float(self._loaded.port_voltage(self.source_levels(d)))
 
     def output_array(self, digits: np.ndarray) -> np.ndarray:
-        """Fast-path outputs for an array of digit words, shape (count, n_digits)."""
-        return _table_output(np.asarray(digits), self._table)
+        """Loaded output volts of digit words of shape (count, n_digits): the fast path."""
+        digits = np.asarray(digits)
+        if digits.shape[1] != self.n_digits:
+            raise RangeError(f"digit count {digits.shape[1]} does not match {self.n_digits} stages")
+        table = self._table
+        return indicator_output(*indicators(digits), table.w_pos_loaded, table.w_neg_loaded)
 
     def supply_currents(self, d: DigitVector) -> dict[float, float]:
         """Signed amps drawn from each supply rail for one digit word.
@@ -424,10 +429,14 @@ class Dac:
         holds the +1 then the -1 digit indicators (one column per source),
         ``Js[i, j]`` is the current of source j with source i HIGH, and the
         second factor of ``a`` keeps only the HIGH sources, as in
-        :meth:`supply_currents`.
+        :meth:`supply_currents`. The loaded ``J`` is the open one less ``h``
+        times the load current (the compensation theorem).
         """
         digits = np.asarray(digits)
-        js = self._source_volts[:, None] * self._loaded.source_current_matrix.T
+        j_loaded = self._open.source_current_matrix - np.outer(
+            self._open.port_source_currents, self._load_amps
+        )
+        js = self._source_volts[:, None] * j_loaded.T
         out = np.empty((len(self.rail_voltages), len(digits)))
         for start in range(0, len(digits), RAIL_BLOCK):
             a = np.hstack(indicators(digits[start : start + RAIL_BLOCK]))
@@ -555,7 +564,7 @@ def calibrate(config: DacConfig) -> DacConfig:
         rows = np.tile(g, (2, 1))
         rows[0, entry] = 1.0 / r
         rows[1, entry] = 0.5 / r
-        w = _digit_weights(config, solver.batch_port_weights(rows))[0]
+        w = _digit_weights(config, solver.batch_port(rows)[:, :-1])[0]
         ratio = (w[:, upstream] / w[:, downstream]).tolist()
         root = r * (1.0 + (WEIGHT_RATIO - ratio[0]) / (ratio[1] - ratio[0]))
         if not (math.isfinite(root) and root > 0):
@@ -570,8 +579,8 @@ def calibrate(config: DacConfig) -> DacConfig:
     # Check the returned config as built, so an entry hidden by an element
     # override is caught.
     final = _layout(cfg)
-    g = 1.0 / final.branch_ohms(final.values[None], math.inf)
-    w = _digit_weights(cfg, solver.batch_port_weights(g))[0][0].tolist()
+    g = 1.0 / final.branch_ohms(final.values[None])
+    w = _digit_weights(cfg, solver.batch_port(g)[:, :-1])[0][0].tolist()
     for upstream, downstream in boundaries:
         ratio = w[upstream] / w[downstream]
         if abs(ratio - WEIGHT_RATIO) > 10 * RATIO_RTOL * WEIGHT_RATIO:
@@ -585,16 +594,6 @@ def calibrate(config: DacConfig) -> DacConfig:
 def weights(config: DacConfig) -> WeightTable:
     """Per-stage differential weights, port impedance and full-scale summary."""
     return Dac(config).weight_table()
-
-
-def dac_output(d: DigitVector, wt: WeightTable) -> float:
-    """Loaded output volts of one digit word; matches the full network solve."""
-    return float(_table_output(np.array([d.digits]), wt)[0])
-
-
-def supply_currents(d: DigitVector, config: DacConfig) -> dict[float, float]:
-    """Signed amps out of each rail's sources for one digit word."""
-    return Dac(config).supply_currents(d)
 
 
 def perturb(config: DacConfig, seed) -> DacConfig:
@@ -628,14 +627,15 @@ def trial_weights(config: DacConfig, seed, trials: int) -> tuple[np.ndarray, np.
 
     Returns (w_pos, w_neg), each of shape (trials, n_digits); row ``t`` equals
     the loaded weights of ``Dac(perturb(config, (seed, t)))``. The stages are
-    walked once and all trials share one topology, solved in stacks of
-    :data:`TRIAL_BLOCK`. Every row is computed alone, so a longer run extends
-    a shorter one unchanged.
+    walked once and all trials share one open-network topology, solved in
+    stacks of :data:`TRIAL_BLOCK`; each trial's own ``z_out`` sets its load
+    divider. Every row is computed alone, so a longer run extends a shorter
+    one unchanged.
     """
     if trials < 1:
         raise RangeError("trials must be >= 1")
     layout = _layout(config)
-    solver = NetworkSolver(layout.network(config.load_ohms))
+    solver = NetworkSolver(layout.network(math.inf))
     blocks = []
     for start in range(0, trials, TRIAL_BLOCK):
         element_ohms = np.stack(
@@ -644,9 +644,11 @@ def trial_weights(config: DacConfig, seed, trials: int) -> tuple[np.ndarray, np.
                 for t in range(start, min(start + TRIAL_BLOCK, trials))
             ]
         )
-        branch_ohms = layout.branch_ohms(element_ohms, config.load_ohms)
-        blocks.append(solver.batch_port_weights(1.0 / branch_ohms))
-    return _digit_weights(config, np.concatenate(blocks))
+        blocks.append(solver.batch_port(1.0 / layout.branch_ohms(element_ohms)))
+    port = np.concatenate(blocks)
+    divider = load_divider(port[:, -1:], config.load_ohms)
+    w_pos, w_neg = _digit_weights(config, port[:, :-1])
+    return w_pos * divider, w_neg * divider
 
 
 # --- config file format --------------------------------------------------

@@ -3,16 +3,20 @@
 Networks are resistor graphs plus voltage sources referenced to ground, each
 source optionally behind a series resistance. Node 0 is ground. The solver
 keeps the graph in stamp form, so a system matrix is a conductance vector
-applied to a fixed incidence stamp. Per-source superposition weights come
-from one stacked dense solve over any number of conductance vectors (the
-network's own, or a batch of perturbed ones); direct solves and Thevenin
-extraction are one dense ``numpy.linalg.solve`` each (networks here stay
-well under a hundred nodes).
+applied to a fixed incidence stamp. One stacked dense solve, over the
+network's own conductances or a batch of perturbed ones, has a unit column
+per source plus a port column (1 A into port node p, out of node q): its port
+volts are the output impedance and its source currents are what a load across
+the port takes from each source (see :mod:`ternadac.dac`). A direct solve is
+one dense ``numpy.linalg.solve`` (networks here stay well under a hundred nodes).
 
 A source with a positive series resistance is stamped as its Norton
 equivalent, which keeps the matrix size down; a source with zero series
 resistance gets an explicit branch-current unknown. Source currents are
-reported positive out of the source's positive terminal in both cases.
+reported positive out of the source's positive terminal in both cases. A
+near-short resistor (see :data:`NEAR_SHORT_RATIO`) is stamped as a group-2
+branch: a current unknown with ``v_a - v_b - R·i = 0``, so its huge
+conductance never swamps the rest of its node's row.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ from .errors import SolverError
 
 #: Relative residual bound every solve is verified against.
 RESIDUAL_RTOL = 1e-9
+
+#: A resistor whose conductance exceeds the rest of the conductance at its
+#: weaker endpoint by this ratio gets a branch-current unknown. Ground and
+#: ideal-source nodes are held at fixed potential and never count as weaker.
+NEAR_SHORT_RATIO = 1e4
 
 
 def _solved(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,29 +138,20 @@ class Solution:
     source_currents: np.ndarray
 
 
-@dataclass(frozen=True)
-class TheveninEquivalent:
-    """Open-circuit port voltage and port output impedance."""
-
-    v_open: float
-    z_out: float
-
-    def __post_init__(self) -> None:
-        if self.z_out < -1e-12:
-            raise SolverError(f"negative output impedance {self.z_out}")
-
-
 class NetworkSolver:
     """Stamp-form solver for one fixed network topology.
 
     The graph is held as an incidence stamp: the conductance part of the
     system matrix is ``Incᵀ·diag(g)·Inc`` over the branches (resistors, then
-    Norton sources), plus the fixed rows of ideal sources (Ho, Ruehli &
-    Brennan, "The modified nodal approach to network analysis", IEEE Trans.
-    CAS 22(6), 1975). The network's own conductances give the single-network
-    paths; :meth:`batch_port_weights` solves any stack of conductance vectors
-    on the same topology, which is how perturbed converters are evaluated.
-    Every solve, direct or stacked, is LAPACK gesv through ``numpy.linalg.solve``.
+    Norton sources), plus the fixed rows of ideal sources and near-short
+    resistors (Ho, Ruehli & Brennan, "The modified nodal approach to network
+    analysis", IEEE Trans. CAS 22(6), 1975). Which resistors are near-short
+    is fixed per topology and their ``-R`` cells come from the conductance
+    row, so a stack of rows is still one solve. The network's own
+    conductances give the single-network paths; :meth:`batch_port` solves
+    any stack of conductance vectors on the same topology, which is how
+    perturbed converters are evaluated. Every solve, direct or stacked, is
+    LAPACK gesv through ``numpy.linalg.solve``.
 
     Immutable after construction apart from its cache of unit solutions.
     Switch states of a DAC only change source levels, never the resistive
@@ -165,11 +165,9 @@ class NetworkSolver:
         series = np.array([s.series_ohms for s in net.sources])
         self._norton = np.flatnonzero(series > 0.0)
         self._ideal = np.flatnonzero(series == 0.0)
-        m = (n - 1) + len(self._ideal)
-        self._n_unknowns = m
         src_rows = np.array([s.node - 1 for s in net.sources], dtype=np.intp)
         self._norton_rows = src_rows[self._norton]
-        self._ideal_rows = (n - 1) + np.arange(len(self._ideal))
+        ideal_nodes = src_rows[self._ideal]
 
         # Branch b joins ia[b] to ib[b] (unknown indices, -1 = ground): the
         # resistors, then the Norton sources to ground.
@@ -179,25 +177,49 @@ class NetworkSolver:
         ia = np.concatenate([ia, self._norton_rows])
         ib = np.concatenate([ib, np.full(len(self._norton), -1)])
         self._norton_branches = n_res + np.arange(len(self._norton))
+        self._norton_ohms = series[self._norton]
+        ohms = np.concatenate([[r.ohms for r in net.resistors], self._norton_ohms])
+        #: Branch conductances: resistors in order, then Norton sources in order.
+        self.conductances = 1.0 / ohms
+
+        # Total conductance per node (index 0 = ground); fixed-potential nodes are inf.
+        node_g = np.zeros(n)
+        np.add.at(node_g, np.concatenate([ia, ib]) + 1, np.tile(self.conductances, 2))
+        node_g[0] = np.inf
+        node_g[ideal_nodes + 1] = np.inf
+        g_res = self.conductances[:n_res]
+        rest = np.minimum(node_g[ia[:n_res] + 1], node_g[ib[:n_res] + 1]) - g_res
+        self._shorts = np.flatnonzero(g_res > NEAR_SHORT_RATIO * rest)
+
+        # Unknowns: node voltages 1..n-1, ideal-source currents, near-short currents.
+        self._ideal_rows = (n - 1) + np.arange(len(self._ideal))
+        self._short_rows = (n - 1) + len(self._ideal) + np.arange(len(self._shorts))
+        m = (n - 1) + len(self._ideal) + len(self._shorts)
+        self._n_unknowns = m
+        # The node each unknown's row belongs to, for error messages.
+        short_nodes = np.maximum(ia, ib)[self._shorts] + 1
+        self._row_nodes = np.concatenate([np.arange(1, n), ideal_nodes + 1, short_nodes])
+
         rows = np.stack([ia, ib, ia, ib], axis=1)
         cols = np.stack([ia, ib, ib, ia], axis=1)
-        keep = (rows >= 0) & (cols >= 0)
+        nodal = np.ones(len(ia), dtype=bool)
+        nodal[self._shorts] = False
+        keep = (rows >= 0) & (cols >= 0) & nodal[:, None]
         # Cells in branch order, so every entry sums its branches in one fixed order.
         self._cells = (rows * m + cols)[keep]
         self._cell_branch = np.repeat(np.arange(len(ia)), 4).reshape(-1, 4)[keep]
         self._cell_sign = np.broadcast_to([1.0, 1.0, -1.0, -1.0], rows.shape)[keep]
 
         self._fixed = np.zeros((m, m))
-        ideal_nodes = src_rows[self._ideal]
         self._fixed[ideal_nodes, self._ideal_rows] = -1.0  # branch current enters the node
         self._fixed[self._ideal_rows, ideal_nodes] = 1.0  # constraint row: v_node = level
+        for ends, sign in ((ia[self._shorts], 1.0), (ib[self._shorts], -1.0)):
+            live = ends >= 0
+            self._fixed[ends[live], self._short_rows[live]] = sign  # current leaves a, enters b
+            self._fixed[self._short_rows[live], ends[live]] = sign  # v_a - v_b - R·i = 0
 
-        self._norton_ohms = series[self._norton]
-        ohms = np.concatenate([[r.ohms for r in net.resistors], self._norton_ohms])
-        #: Branch conductances: resistors in order, then Norton sources in order.
-        self.conductances = 1.0 / ohms
         self._matrix = self._stamp(self.conductances[None])[0]
-        self._source_rhs = self._unit_rhs(self.conductances[None])[0]
+        self._source_rhs = self._unit_rhs(self.conductances[None])[0, :, :-1]
 
     @property
     def n_sources(self) -> int:
@@ -213,18 +235,29 @@ class NetworkSolver:
         index = self._cells + (m * m) * np.arange(t)[:, None]
         values = g[:, self._cell_branch] * self._cell_sign
         a = np.bincount(index.ravel(), values.ravel(), minlength=t * m * m).reshape(t, m, m)
-        a += self._fixed
+        a = a + self._fixed  # not in place: with no conductance cells bincount gives ints
+        a[:, self._short_rows, self._short_rows] = -1.0 / g[:, self._shorts]
         return a
 
     def _unit_rhs(self, g: np.ndarray) -> np.ndarray:
-        """Right-hand sides, column i = source i at 1 V and all others at 0 V."""
-        b = np.zeros((g.shape[0], self._n_unknowns, self.n_sources))
+        """Unit right-hand sides, shape (T, n_unknowns, n_sources + 1).
+
+        Column i is source i at 1 V with all others at 0 V; the last is the
+        port column, 1 A into port node p and out of node q.
+        """
+        k = self.n_sources
+        b = np.zeros((g.shape[0], self._n_unknowns, k + 1))
         b[:, self._norton_rows, self._norton] = g[:, self._norton_branches]
         b[:, self._ideal_rows, self._ideal] = 1.0
+        p, q = self.net.port
+        if p > 0:
+            b[:, p - 1, k] += 1.0
+        if q > 0:
+            b[:, q - 1, k] -= 1.0
         return b
 
     def _unit_solve(self, g: np.ndarray) -> np.ndarray:
-        """Unknowns for every unit source excitation, shape (T, n_unknowns, n_sources).
+        """Unknowns for every unit column, shape (T, n_unknowns, n_sources + 1).
 
         One stacked solve; every unit column of every trial is checked by
         :func:`_solved`.
@@ -249,31 +282,23 @@ class NetworkSolver:
         vq = x[..., q - 1, :] if q > 0 else ground
         return vp - vq
 
-    def _rhs(self, source_levels: Sequence[float]) -> np.ndarray:
+    def solve(self, source_levels: Sequence[float]) -> Solution:
+        """Node voltages and source currents for one excitation vector."""
         levels = np.asarray(source_levels, dtype=float)
         if levels.shape != (self.n_sources,):
             raise SolverError(
                 f"expected {self.n_sources} source levels, got shape {levels.shape}"
             )
-        return self._source_rhs @ levels
-
-    def _solve_raw(self, b: np.ndarray) -> np.ndarray:
+        b = self._source_rhs @ levels
         try:
             x = np.linalg.solve(self._matrix, b)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular network system: {exc}") from exc
         if not _solved(self._matrix, x[:, None], b[:, None]).all():
-            worst = int(np.argmax(np.abs(self._matrix @ x - b)))
-            if worst < self._n_nodes - 1:
-                node = worst + 1
-            else:
-                node = self.net.sources[self._ideal[worst - (self._n_nodes - 1)]].node
+            node = self._row_nodes[np.argmax(np.abs(self._matrix @ x - b))]
             raise SolverError(
                 f"singular or ill-conditioned system (largest residual at node {node})"
             )
-        return x
-
-    def _unpack(self, x: np.ndarray, levels: np.ndarray) -> Solution:
         n = self._n_nodes
         voltages = np.zeros(n)
         voltages[1:] = x[: n - 1]
@@ -284,12 +309,6 @@ class NetworkSolver:
         currents[self._ideal] = x[self._ideal_rows]
         return Solution(node_voltages=voltages, source_currents=currents)
 
-    def solve(self, source_levels: Sequence[float]) -> Solution:
-        """Node voltages and source currents for one excitation vector."""
-        levels = np.asarray(source_levels, dtype=float)
-        x = self._solve_raw(self._rhs(levels))
-        return self._unpack(x, levels)
-
     def port_voltage(self, source_levels: Sequence[float]) -> float:
         sol = self.solve(source_levels)
         p, q = self.net.port
@@ -297,20 +316,26 @@ class NetworkSolver:
 
     @cached_property
     def _unit_solutions(self) -> np.ndarray:
-        # Column i = full unknown vector for source i at 1 V, all others at 0 V.
+        # Column i = full unknown vector for source i at 1 V, all others at 0 V;
+        # the last column is the port column.
         return self._unit_solve(self.conductances[None])[0]
 
     @cached_property
     def port_weights(self) -> np.ndarray:
         """Differential port volts per source volt; the superposition fast path."""
-        return self._port(self._unit_solutions)
+        return self._port(self._unit_solutions[:, :-1])
 
-    def batch_port_weights(self, conductances) -> np.ndarray:
-        """Port weights of this topology for each row of branch conductances.
+    def output_impedance(self) -> float:
+        """Port volts per amp of the port column: the impedance seen at the port."""
+        return float(self._port(self._unit_solutions[:, -1:])[0])
+
+    def batch_port(self, conductances) -> np.ndarray:
+        """Port rows of this topology for each row of branch conductances.
 
         ``conductances`` has shape (T, n_branches), columns ordered like
-        :attr:`conductances`; the result has shape (T, n_sources). Row ``t``
-        equals ``port_weights`` of the network built with those conductances.
+        :attr:`conductances`; the result has shape (T, n_sources + 1). Row
+        ``t`` holds :attr:`port_weights` and then :meth:`output_impedance` of
+        the network built with those conductances.
         """
         g = np.asarray(conductances, dtype=float)
         if g.ndim != 2 or g.shape[1] != self.n_branches:
@@ -320,54 +345,26 @@ class NetworkSolver:
         return self._port(self._unit_solve(g))
 
     @cached_property
+    def _unit_currents(self) -> np.ndarray:
+        # Source currents of every unit column, shape (n_sources, n_sources + 1).
+        x = self._unit_solutions
+        k = self.n_sources
+        currents = np.empty((k, k + 1))
+        currents[self._norton] = (
+            np.eye(k, k + 1)[self._norton] - x[self._norton_rows]
+        ) / self._norton_ohms[:, None]
+        currents[self._ideal] = x[self._ideal_rows]
+        return currents
+
+    @cached_property
     def source_current_matrix(self) -> np.ndarray:
         """J[j, i] = current of source j when source i is at 1 V, others 0 V."""
-        x = self._unit_solutions
-        j_mat = np.empty((self.n_sources, self.n_sources))
-        unit = np.eye(self.n_sources)
-        j_mat[self._norton] = (
-            unit[self._norton] - x[self._norton_rows]
-        ) / self._norton_ohms[:, None]
-        j_mat[self._ideal] = x[self._ideal_rows]
-        return j_mat
+        return self._unit_currents[:, :-1]
 
-    def output_impedance(self) -> float:
-        """Port impedance with all sources zeroed and a unit test current injected."""
-        b = np.zeros(self._n_unknowns)
-        p, q = self.net.port
-        if p > 0:
-            b[p - 1] += 1.0
-        if q > 0:
-            b[q - 1] -= 1.0
-        x = self._solve_raw(b)
-        vp = x[p - 1] if p > 0 else 0.0
-        vq = x[q - 1] if q > 0 else 0.0
-        return float(vp - vq)
-
-    def thevenin(self, source_levels: Sequence[float]) -> TheveninEquivalent:
-        return TheveninEquivalent(
-            v_open=self.port_voltage(source_levels),
-            z_out=self.output_impedance(),
-        )
-
-
-def solve(net: ResistiveNetwork, source_levels: Sequence[float]) -> Solution:
-    """One-shot MNA solve; see :class:`NetworkSolver` for the cached path."""
-    return NetworkSolver(net).solve(source_levels)
-
-
-def thevenin(net: ResistiveNetwork, source_levels: Sequence[float]) -> TheveninEquivalent:
-    """Open-circuit port voltage for the given excitation plus port impedance."""
-    return NetworkSolver(net).thevenin(source_levels)
-
-
-def superposition_weights(net: ResistiveNetwork) -> np.ndarray:
-    """Differential port voltage per source for unit excitations.
-
-    For any excitation vector ``s`` the port voltage is ``weights @ s``; the
-    direct solve and this fast path agree to the solver tolerance.
-    """
-    return NetworkSolver(net).port_weights
+    @property
+    def port_source_currents(self) -> np.ndarray:
+        """h[j] = current of source j per amp into the port, every source at 0 V."""
+        return self._unit_currents[:, -1]
 
 
 def netlist_dump(net: ResistiveNetwork) -> str:

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import codec
-from .dac import Dac, DacConfig
+from .dac import Dac, DacConfig, load_divider
 from .errors import ConfigError
 
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -129,10 +129,7 @@ def _noise_sigma_at_load(dac: Dac, temperature_k: float, bandwidth_hz: float) ->
     # Output-referred source: open-circuit thermal voltage of the port
     # impedance (available power kT*B), divided down into the load.
     v_open = math.sqrt(4.0 * BOLTZMANN_J_PER_K * temperature_k * dac.z_out * bandwidth_hz)
-    load = dac.config.load_ohms
-    if math.isinf(load):
-        return v_open
-    return v_open * load / (load + dac.z_out)
+    return v_open * load_divider(dac.z_out, dac.config.load_ohms)
 
 
 def simulate_digits(

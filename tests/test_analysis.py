@@ -95,7 +95,7 @@ def test_series_divider_current_accounting():
         sources=(network.VoltageSource(node=1, series_ohms=50.0),),
         port=(1, 0),
     )
-    sol = network.solve(net, [90.0])
+    sol = network.NetworkSolver(net).solve([90.0])
     p_load = sol.node_voltages[1] ** 2 / 150.0
     p_supply = 90.0 * sol.source_currents[0]
     assert p_load / p_supply == pytest.approx(150.0 / (150.0 + 50.0), rel=1e-12)

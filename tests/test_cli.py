@@ -7,6 +7,7 @@ import pytest
 
 from ternadac import __version__, analysis, calibrate, cli, codec, dac, pipeline
 from ternadac import read_config, write_config
+from ternadac.errors import FileFormatError
 
 
 def run(args):
@@ -203,11 +204,26 @@ def test_encode_non_ascii_sample_file_is_io_error(tmp_path, capsys):
 @pytest.mark.parametrize("subcommand", ["encode", "weights"])
 def test_non_ascii_output_path_is_io_error(tmp_path, capsys, subcommand):
     # The manifest header records the path, and output files are ASCII.
-    args = [subcommand, "--out", tmp_path / "\u00e9.out"]
+    args = [subcommand, "--out", tmp_path / "w\u00e9.csv"]
     if subcommand == "encode":
         args += ["--kind", "silence", "--duration", "0.001"]
     assert run(args) == 5
     assert "[IO]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # not even a partial file
+
+
+def test_csv_write_failing_partway_keeps_old_file(tmp_path):
+    out = tmp_path / "table.csv"
+    out.write_text("old table\n", encoding="ascii")
+
+    def rows():
+        yield (1, 2.0)
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(FileFormatError, match="No space left"):
+        cli._write_csv(out, cli.RunManifest("test", {"out": out}), ["a", "b"], rows())
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+    assert out.read_text(encoding="ascii") == "old table\n"
 
 
 def test_non_ascii_config_is_config_error(tmp_path, capsys, calibrated_config_file):

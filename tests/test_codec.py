@@ -314,6 +314,39 @@ def test_digit_dump_writer_rejects_non_digits(tmp_path):
             codec.write_digit_dump(path, np.array(digits))
 
 
+class FailingSecondWrite:
+    """File wrapper whose second ``write`` fails, as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("existing", [None, b"old dump\n"])
+def test_digit_dump_write_failing_partway_leaves_no_file(tmp_path, monkeypatch, existing):
+    path = tmp_path / "digits.txt"
+    if existing is not None:
+        path.write_bytes(existing)
+    monkeypatch.setattr(codec, "open", lambda *a, **k: FailingSecondWrite(open(*a, **k)), raising=False)
+    with pytest.raises(FileFormatError, match="No space left"):
+        codec.write_digit_dump(path, np.zeros((4, 3), dtype=np.int8), header_lines=["# h"])
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["digits.txt"])
+    if existing is not None:
+        assert path.read_bytes() == existing
+
+
 # --- digit dump against the line-by-line oracles --------------------------------
 
 PRINTABLE = st.characters(min_codepoint=32, max_codepoint=126)

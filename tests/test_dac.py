@@ -321,8 +321,8 @@ def test_shifted_code_attenuation(calibrated):
     converter = dac.Dac(calibrated)
     for shift in (1, 5, 18):
         t = codec.ternary_full_scale(20 - shift)
-        low = converter.output(codec.to_balanced_ternary(t, 20))
-        high = converter.output(codec.to_balanced_ternary(t * 3**shift, 20))
+        words = codec.to_balanced_ternary_array(np.array([t, t * 3**shift]), 20)
+        low, high = converter.output_array(words)
         assert low / high == pytest.approx(3.0**-shift, rel=1e-9)
 
 
@@ -330,66 +330,55 @@ def test_shifted_code_attenuation(calibrated):
 
 
 def test_dac_output_zero_word_is_zero(calibrated):
-    table = dac.weights(calibrated)
-    assert dac.dac_output(codec.DigitVector((0,) * 20), table) == 0.0
+    assert dac.Dac(calibrated).output_array(np.zeros((1, 20), dtype=np.int8)).tolist() == [0.0]
 
 
 def test_dac_output_negation_symmetry(calibrated):
-    table = dac.weights(calibrated)
-    rng = np.random.default_rng(31)
-    for row in random_words(rng, 20, 50):
-        d = codec.DigitVector.from_array(row)
-        assert dac.dac_output(-d, table) == pytest.approx(
-            -dac.dac_output(d, table), rel=1e-12, abs=1e-18
-        )
+    converter = dac.Dac(calibrated)
+    words = random_words(np.random.default_rng(31), 20, 50)
+    v = converter.output_array(words)
+    assert converter.output_array(-words) == pytest.approx(-v, rel=1e-12, abs=1e-18)
 
 
 def test_dac_output_length_mismatch(calibrated):
-    table = dac.weights(calibrated)
     with pytest.raises(RangeError):
-        dac.dac_output(codec.DigitVector((1, 0)), table)
+        dac.Dac(calibrated).output_array(np.array([[1, 0]], dtype=np.int8))
 
 
 def test_fast_path_matches_direct_solve(calibrated):
     converter = dac.Dac(calibrated)
-    rng = np.random.default_rng(32)
-    for row in random_words(rng, 20, 200):
-        d = codec.DigitVector.from_array(row)
-        fast = converter.output(d)
-        direct = converter.output_direct(d)
+    words = random_words(np.random.default_rng(32), 20, 200)
+    for fast, row in zip(converter.output_array(words), words):
+        direct = converter.output_direct(codec.DigitVector.from_array(row))
         assert fast == pytest.approx(direct, rel=1e-9, abs=1e-15)
 
 
 def test_fast_path_matches_direct_solve_perturbed(calibrated):
-    noisy = dac.perturb(calibrated, seed=99)
-    converter = dac.Dac(noisy)
-    rng = np.random.default_rng(33)
-    for row in random_words(rng, 20, 50):
-        d = codec.DigitVector.from_array(row)
-        assert converter.output(d) == pytest.approx(
-            converter.output_direct(d), rel=1e-9, abs=1e-15
-        )
+    converter = dac.Dac(dac.perturb(calibrated, seed=99))
+    words = random_words(np.random.default_rng(33), 20, 50)
+    for fast, row in zip(converter.output_array(words), words):
+        direct = converter.output_direct(codec.DigitVector.from_array(row))
+        assert fast == pytest.approx(direct, rel=1e-9, abs=1e-15)
 
 
 def test_tiny_entry_resistor_matches_mesh_oracle(calibrated):
-    # A 1e-9 ohm entry element is a valid config:
-    # the direct solves must accept it. Its 1e9 S stamp rounds the ~0.1 S of
-    # the other branches at the output node to ~1e-7 S, so nodal analysis in
-    # float64 is only good to ~1e-6 here; mesh analysis, which sums the tiny
-    # resistance instead, stays exact (checked against a rational solve).
+    # A 1e-9 ohm entry element is a valid config: the solves must accept it
+    # and stay exact. Stamped as a conductance, its 1e9 S would round the
+    # ~0.1 S of the other branches at the output node to ~1e-7 S; the solver
+    # gives it a branch-current unknown instead. Mesh analysis, which sums
+    # the tiny resistance, is the reference.
     stages = list(calibrated.stages)
     stages[6] = dataclasses.replace(stages[6], entry_ohms=1e-9)
     config = dataclasses.replace(calibrated, stages=tuple(stages))
     converter = dac.Dac(config)
     net = dac._layout(config).network(config.load_ohms)
     p, q = net.port
-    rng = np.random.default_rng(37)
-    for row in random_words(rng, 20, 20):
+    words = random_words(np.random.default_rng(37), 20, 20)
+    for fast, row in zip(converter.output_array(words), words):
         d = codec.DigitVector.from_array(row)
-        direct = converter.output_direct(d)
-        assert converter.output(d) == pytest.approx(direct, rel=1e-9, abs=1e-15)
         v, _ = loop_current_solve(net, converter.source_levels(d))
-        assert direct == pytest.approx(v[p] - v[q], rel=1e-5)
+        assert fast == pytest.approx(v[p] - v[q], rel=1e-9, abs=1e-15)
+        assert converter.output_direct(d) == pytest.approx(v[p] - v[q], rel=1e-9, abs=1e-15)
 
 
 def test_monotone_output_exhaustive_six_stages():
@@ -412,7 +401,7 @@ def test_monotone_output_sampled_twenty_stages(calibrated):
 
 
 def test_supply_currents_zero_word(calibrated):
-    currents = dac.supply_currents(codec.DigitVector((0,) * 20), calibrated)
+    currents = dac.Dac(calibrated).supply_currents(codec.DigitVector((0,) * 20))
     assert currents[90.0] == 0.0
     assert currents[12.0] == 0.0
 
@@ -422,7 +411,7 @@ def test_supply_currents_msb_word_vs_hand_reduction(calibrated):
     # 90 V rail through the MSB strings into the rest of the upper half.
     open_config = dataclasses.replace(calibrated, load_ohms=math.inf)
     word = codec.DigitVector((1,) + (0,) * 19)
-    currents = dac.supply_currents(word, open_config)
+    currents = dac.Dac(open_config).supply_currents(word)
 
     r_msb = 100.0 / 9.0
     g_rest = 3.0 / 100.0 + 1.0 / 100.0 + 1.0 / 300.0 + 1.0 / 900.0 + 1.0 / 2700.0
@@ -453,6 +442,38 @@ def test_rail_currents_array_matches_scalar(calibrated):
         scalar = converter.supply_currents(codec.DigitVector.from_array(row))
         assert rails[90.0][k] == pytest.approx(scalar[90.0], rel=1e-9, abs=1e-15)
         assert rails[12.0][k] == pytest.approx(scalar[12.0], rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("load", [8.0, 32.0, 600.0, math.inf])
+def test_one_open_solve_serves_every_load(calibrated, monkeypatch, load):
+    built = []
+    init = network.NetworkSolver.__init__
+
+    def counting_init(self, net):
+        built.append(net.name)
+        init(self, net)
+
+    monkeypatch.setattr(network.NetworkSolver, "__init__", counting_init)
+    converter = dac.Dac(dataclasses.replace(calibrated, load_ohms=load))
+    assert built == ["dac open"]
+    table = converter.weight_table()
+    if math.isinf(load):
+        assert np.array_equal(table.w_pos_loaded, table.w_pos_open)
+        assert np.array_equal(table.w_neg_loaded, table.w_neg_open)
+
+    # Criterion 6's bound, for the output and for each rail's current.
+    def close(actual, expected, scale):
+        return abs(actual - expected) <= 1e-9 * max(abs(expected), 1e-9 * scale)
+
+    words = random_words(np.random.default_rng(38), 20, 200)
+    fast = converter.output_array(words)
+    rails = converter.rail_currents_array(words)
+    for k, row in enumerate(words):
+        d = codec.DigitVector.from_array(row)
+        assert close(fast[k], converter.output_direct(d), np.abs(fast).max())
+        for volts, amps in converter.supply_currents(d).items():
+            assert close(rails[volts][k], amps, np.abs(rails[volts]).max())
+    assert len(built) == 2  # the reference paths built their own network, once
 
 
 def test_switch_resistance_raises_output_impedance(calibrated):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -58,7 +59,7 @@ def kcl_residuals(net, solution, levels):
 
 
 def test_symmetric_divider_midpoint():
-    sol = network.solve(divider_network(), [90.0])
+    sol = network.NetworkSolver(divider_network()).solve([90.0])
     assert sol.node_voltages[1] == pytest.approx(45.0, rel=1e-12)
     assert sol.source_currents[0] == pytest.approx(0.45, rel=1e-12)
 
@@ -66,7 +67,7 @@ def test_symmetric_divider_midpoint():
 def test_all_sources_zero_gives_zero_state():
     rng = np.random.default_rng(21)
     net = random_network(rng)
-    sol = network.solve(net, np.zeros(len(net.sources)))
+    sol = network.NetworkSolver(net).solve(np.zeros(len(net.sources)))
     assert np.allclose(sol.node_voltages, 0.0, atol=1e-15)
     assert np.allclose(sol.source_currents, 0.0, atol=1e-15)
 
@@ -76,7 +77,7 @@ def test_random_networks_match_loop_current_oracle():
     for trial in range(25):
         net = random_network(rng, n_nodes=int(rng.integers(4, 8)))
         levels = rng.uniform(-90, 90, size=len(net.sources))
-        sol = network.solve(net, levels)
+        sol = network.NetworkSolver(net).solve(levels)
         v_ref, i_ref = loop_current_solve(net, levels)
         assert np.allclose(sol.node_voltages, v_ref, rtol=1e-9, atol=1e-9)
         assert np.allclose(sol.source_currents, i_ref, rtol=1e-9, atol=1e-9)
@@ -87,21 +88,32 @@ def test_kcl_residual_bound():
     for _ in range(10):
         net = random_network(rng)
         levels = rng.uniform(-90, 90, size=len(net.sources))
-        sol = network.solve(net, levels)
+        sol = network.NetworkSolver(net).solve(levels)
         scale = max(1.0, float(np.abs(sol.source_currents).max()))
         assert np.abs(kcl_residuals(net, sol, levels)).max() <= 1e-9 * scale
+
+
+def with_load(net, load_ohms):
+    """The same network with a load resistor across its port."""
+    load = network.Resistor(net.port[0], net.port[1], load_ohms)
+    return network.ResistiveNetwork(
+        resistors=net.resistors + (load,), sources=net.sources, port=net.port
+    )
 
 
 def test_superposition_weights_match_direct_solve():
     rng = np.random.default_rng(24)
     net = random_network(rng, n_nodes=7, extra_edges=4, n_sources=3)
     solver = network.NetworkSolver(net)
+    loaded = network.NetworkSolver(with_load(net, 47.0))
     weights = solver.port_weights
+    divider = 47.0 / (47.0 + solver.output_impedance())
     for _ in range(100):
         levels = rng.uniform(-90, 90, size=len(net.sources))
         direct = solver.port_voltage(levels)
         fast = float(weights @ levels)
         assert fast == pytest.approx(direct, rel=1e-9, abs=1e-12)
+        assert fast * divider == pytest.approx(loaded.port_voltage(levels), rel=1e-9, abs=1e-12)
 
 
 def test_solve_linearity():
@@ -117,11 +129,15 @@ def test_solve_linearity():
 
 def test_thevenin_reciprocity_and_divider():
     net = divider_network(series=100.0, shunt=300.0)
-    thev_a = network.thevenin(net, [90.0])
-    thev_b = network.thevenin(net, [-37.5])
-    assert thev_a.z_out == pytest.approx(thev_b.z_out, rel=1e-12)
-    assert thev_a.z_out == pytest.approx(75.0, rel=1e-12)  # 100 || 300
-    assert thev_a.v_open == pytest.approx(67.5, rel=1e-12)  # 90 * 300/400
+    solver = network.NetworkSolver(net)
+    assert solver.output_impedance() == pytest.approx(75.0, rel=1e-12)  # 100 || 300
+    assert solver.port_weights[0] == pytest.approx(0.75, rel=1e-12)  # 300/400
+    assert solver.port_voltage([90.0]) == pytest.approx(67.5, rel=1e-12)  # 90 * 300/400
+    assert solver.port_voltage([-37.5]) == pytest.approx(-28.125, rel=1e-12)
+    # 75 ohm across the port halves the open-port volts.
+    assert network.NetworkSolver(with_load(net, 75.0)).port_voltage([90.0]) == pytest.approx(
+        33.75, rel=1e-12
+    )
 
 
 def test_resistance_scaling_property():
@@ -142,6 +158,37 @@ def test_resistance_scaling_property():
     assert np.allclose(seven.port_weights, base.port_weights, rtol=1e-12)
 
 
+def test_near_short_resistor_matches_loop_current_oracle():
+    # One resistor at 1e-9 ohm, anywhere: between two nodes, to ground, or at
+    # an ideal-source node. The mesh oracle sums the tiny resistance exactly.
+    rng = np.random.default_rng(30)
+    for _ in range(40):
+        net = random_network(rng, n_nodes=int(rng.integers(3, 8)))
+        k = int(rng.integers(len(net.resistors)))
+        short = dataclasses.replace(net.resistors[k], ohms=1e-9)
+        net = dataclasses.replace(net, resistors=net.resistors[:k] + (short,) + net.resistors[k + 1 :])
+        levels = rng.uniform(-90, 90, size=len(net.sources))
+        sol = network.NetworkSolver(net).solve(levels)
+        v_ref, i_ref = loop_current_solve(net, levels)
+        assert np.allclose(sol.node_voltages, v_ref, rtol=1e-9, atol=1e-9)
+        assert np.allclose(sol.source_currents, i_ref, rtol=1e-9, atol=1e-9 * np.abs(i_ref).max())
+
+
+def test_port_behind_lone_resistor_of_ideal_source():
+    # The resistor is the port node's only branch, so it is stamped as a
+    # branch current and the system has no conductance cell at all.
+    solver = network.NetworkSolver(
+        network.ResistiveNetwork(
+            resistors=(network.Resistor(1, 2, 100.0),),
+            sources=(network.VoltageSource(node=1),),
+            port=(2, 0),
+        )
+    )
+    assert solver.port_weights.tolist() == [1.0]
+    assert solver.output_impedance() == pytest.approx(100.0, rel=1e-12)
+    assert solver.port_voltage([3.0]) == pytest.approx(3.0, rel=1e-12)
+
+
 def test_floating_node_is_named():
     with pytest.raises(SolverError, match="node 2"):
         network.ResistiveNetwork(
@@ -158,7 +205,7 @@ def test_conflicting_ideal_sources_raise():
         port=(1, 0),
     )
     with pytest.raises(SolverError):
-        network.solve(net, [1.0, 2.0])
+        network.NetworkSolver(net).solve([1.0, 2.0])
 
 
 def test_source_current_matrix_matches_solve():
@@ -185,7 +232,7 @@ def test_invalid_elements_rejected():
 def test_wrong_level_count_rejected():
     net = divider_network()
     with pytest.raises(SolverError):
-        network.solve(net, [1.0, 2.0])
+        network.NetworkSolver(net).solve([1.0, 2.0])
 
 
 def test_netlist_dump_golden():
@@ -219,10 +266,13 @@ def test_batch_port_weights_match_each_network():
     net = random_network(rng, n_nodes=7, extra_edges=4, n_sources=3)
     solver = network.NetworkSolver(net)
     factors = rng.uniform(0.5, 2.0, size=(5, solver.n_branches))
-    batch = solver.batch_port_weights(solver.conductances / factors)
+    batch = solver.batch_port(solver.conductances / factors)
+    assert batch.shape == (5, len(net.sources) + 1)
     for row, f in zip(batch, factors):
         other = scaled_copy(net, f)
-        assert np.allclose(row, network.NetworkSolver(other).port_weights, rtol=1e-12, atol=1e-15)
+        other_solver = network.NetworkSolver(other)
+        assert np.allclose(row[:-1], other_solver.port_weights, rtol=1e-12, atol=1e-15)
+        assert row[-1] == pytest.approx(other_solver.output_impedance(), rel=1e-12)
         for k in range(len(net.sources)):
             unit = np.zeros(len(net.sources))
             unit[k] = 1.0
@@ -234,14 +284,15 @@ def test_batch_port_weights_match_each_network():
 def test_batch_of_own_conductances_is_port_weights():
     rng = np.random.default_rng(29)
     solver = network.NetworkSolver(random_network(rng, n_sources=3))
-    batch = solver.batch_port_weights(np.tile(solver.conductances, (3, 1)))
-    assert all(np.array_equal(row, solver.port_weights) for row in batch)
+    batch = solver.batch_port(np.tile(solver.conductances, (3, 1)))
+    assert all(np.array_equal(row[:-1], solver.port_weights) for row in batch)
+    assert all(row[-1] == solver.output_impedance() for row in batch)
 
 
 def test_batch_rejects_wrong_conductance_shape():
     solver = network.NetworkSolver(divider_network())
     with pytest.raises(SolverError, match="shape"):
-        solver.batch_port_weights(np.ones((2, solver.n_branches + 1)))
+        solver.batch_port(np.ones((2, solver.n_branches + 1)))
 
 
 def corrupt_solve(monkeypatch, offset=1e-3):
@@ -259,6 +310,13 @@ def test_corrupted_unit_solve_raises(monkeypatch):
         solver.source_current_matrix
 
 
+def test_corrupted_direct_solve_names_a_node(monkeypatch):
+    solver = network.NetworkSolver(divider_network())
+    corrupt_solve(monkeypatch)
+    with pytest.raises(SolverError, match="residual at node 1"):
+        solver.solve([90.0])
+
+
 def test_corrupted_batch_solve_names_the_trial(monkeypatch):
     solver = network.NetworkSolver(divider_network())
     good = np.tile(solver.conductances, (3, 1))
@@ -271,7 +329,7 @@ def test_corrupted_batch_solve_names_the_trial(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", corrupt_last)
     with pytest.raises(SolverError, match=r"trial 2"):
-        solver.batch_port_weights(good)
+        solver.batch_port(good)
 
 
 def test_non_finite_unit_solve_raises(monkeypatch):

@@ -86,19 +86,35 @@ def test_batched_weights_match_mesh_oracle(variants, variant, seed, tolerance, t
     base = replace(variants[variant], tolerance=tolerance)
     w_pos, w_neg = dac.trial_weights(base, seed, trials)
     trial = trials - 1
-    perturbed = dac.perturb(base, (seed, trial))
-    net = dac._layout(perturbed).network(perturbed.load_ohms)
+    assert_mesh_weights(dac.perturb(base, (seed, trial)), w_pos[trial], w_neg[trial])
+
+
+def assert_mesh_weights(config, w_pos, w_neg):
+    """Loaded digit weights match the loaded network's mesh solve to 1e-9."""
+    net = dac._layout(config).network(config.load_ohms)
     p, q = net.port
     unit = np.eye(len(net.sources))
     port = np.empty(len(net.sources))
     for k in range(len(net.sources)):
         v, _ = loop_current_solve(net, unit[k])
         port[k] = v[p] - v[q]
-    n = base.n_digits
-    volts = np.array([s.supply_v for s in base.stages])
+    n = config.n_digits
+    volts = np.array([s.supply_v for s in config.stages])
     expected = np.concatenate([volts * port[:n], -volts * port[n:]])
-    actual = np.concatenate([w_pos[trial], w_neg[trial]])
+    actual = np.concatenate([w_pos, w_neg])
     assert np.allclose(actual, expected, rtol=1e-9, atol=1e-9 * float(np.abs(expected).max()))
+
+
+def test_near_short_trial_weights_match_mesh_oracle(variants):
+    # A 1e-9 ohm entry element gets a branch-current unknown in the stacked
+    # solve too, so every trial stays exact.
+    base = variants["prototype"]
+    stages = list(base.stages)
+    stages[6] = replace(stages[6], entry_ohms=1e-9)
+    base = replace(base, stages=tuple(stages), tolerance=0.05)
+    w_pos, w_neg = dac.trial_weights(base, 11, 3)
+    for t in range(3):
+        assert_mesh_weights(dac.perturb(base, (11, t)), w_pos[t], w_neg[t])
 
 
 def test_trial_blocks_join_unchanged(variants):
