@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codec, pipeline
-from .dac import Dac, DacConfig, indicator_output, indicators, trial_weights
+from .dac import Dac, DacConfig, group_tables, table_output, trial_weights
 from .dac import perturb  # noqa: F401  (kept importable from here; benchmarks/tracing.py wraps it)
 from .errors import RangeError
 from .pipeline import BOLTZMANN_J_PER_K, SimulationTrace, StimulusKind, StimulusSpec
@@ -223,17 +223,21 @@ def monte_carlo(
     Each trial perturbs the converter elements (seeded by (seed, trial) so a
     longer run extends a shorter one unchanged), keeps the exact encoder, and
     measures the SFDR of the mismatched converter on a coherent sine. The
-    sine is encoded once, every trial's loaded weights come from one stacked
-    solve (:func:`~ternadac.dac.trial_weights`), and each trial is evaluated
-    with the converter's own fast-path expression.
+    sine is encoded once into digit-group codes, every trial's loaded weights
+    come from one stacked solve (:func:`~ternadac.dac.trial_weights`), and
+    each trial is evaluated through its own group tables with the converter's
+    fast-path expression.
     """
     spec = _coherent_sine(level_dbfs, f0_hz, duration_s, fs_hz)
     f_snap = spec.frequency_hz
     w_pos, w_neg = trial_weights(replace(config, tolerance=tolerance), seed, trials)
     digits, _ = codec.encode_stream(pipeline.generate(spec), config.n_digits)
-    pos, neg = indicators(digits)
+    codes = codec.group_codes(digits)
     results = np.array(
-        [sfdr(indicator_output(pos, neg, wp, wn), f_snap, fs_hz) for wp, wn in zip(w_pos, w_neg)]
+        [
+            sfdr(table_output(codes, group_tables(wp, wn)), f_snap, fs_hz)
+            for wp, wn in zip(w_pos, w_neg)
+        ]
     )
     p10, median, p90 = np.percentile(results, [10.0, 50.0, 90.0])
     return MonteCarloResult(

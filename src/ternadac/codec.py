@@ -1,8 +1,16 @@
 """Balanced-ternary codec between 32-bit fixed-point samples and digit vectors.
 
 Digit vectors are ordered most-significant first. Every integer t with
-|t| <= (3**n - 1) // 2 has exactly one n-digit representation with digits
+|t| <= m = (3**n - 1) // 2 has exactly one n-digit representation with digits
 drawn from {-1, 0, +1}; the codec is an exact bijection on that range.
+
+The array codec works on groups of five digits. The balanced digits of t are
+the base-3 digits of t + m, minus 1 (Knuth, TAOCP vol. 2, §4.1). The encoder
+pads the word with leading zeros to whole groups, takes one base-243
+remainder of t + m_pad per group (m_pad the padded word's full scale) and
+looks its five digits up in :data:`GROUP_DIGITS`. :func:`group_codes` maps
+digit words back to the same codes, one per group, which is what the
+converter's output and rail-current tables are indexed by.
 """
 
 from __future__ import annotations
@@ -30,6 +38,16 @@ MAX_ARRAY_DIGITS = 40
 
 #: A ternary value is a plain integer in [-(3**n - 1)/2, +(3**n - 1)/2].
 TernaryValue = int
+
+#: Digits per group of the array codec; a group's code is one base-243 digit.
+GROUP_SIZE = 5
+GROUP_CODES = 3**GROUP_SIZE
+#: Balanced digits of group code c, most significant first: the base-3 digits
+#: of c, minus 1. Code GROUP_CODES // 2 is the all-zero group.
+GROUP_DIGITS = (
+    np.arange(GROUP_CODES)[:, None] // 3 ** np.arange(GROUP_SIZE - 1, -1, -1) % 3 - 1
+).astype(np.int8)
+GROUP_DIGITS.setflags(write=False)
 
 _DIGIT_TO_CHAR = {1: "+", 0: "0", -1: "-"}
 _CHAR_TO_DIGIT = {"+": 1, "0": 0, "-": -1}
@@ -182,19 +200,72 @@ def to_balanced_ternary(t: int, n_digits: int = DEFAULT_N_DIGITS) -> DigitVector
     return DigitVector(tuple(out))
 
 
+def _checked_digits(digits) -> np.ndarray:
+    """Digit words as int8; RangeError unless 2-D integers in {-1, 0, +1}."""
+    digits = np.asarray(digits)
+    if digits.ndim != 2 or digits.dtype.kind not in "biu":
+        raise RangeError(
+            f"digits must be a 2-D integer array (count, n_digits), got {digits.dtype} "
+            f"of shape {digits.shape}"
+        )
+    if digits.size and (digits.min() < -1 or digits.max() > 1):
+        raise RangeError("digit array holds values other than -1, 0 and +1")
+    return digits.astype(np.int8, copy=False)
+
+
+def group_count(n_digits: int) -> int:
+    """Five-digit groups of an n-digit word, the top one possibly partial."""
+    return -(-n_digits // GROUP_SIZE)
+
+
 def to_balanced_ternary_array(values: Iterable[int], n_digits: int = DEFAULT_N_DIGITS) -> np.ndarray:
-    """Vectorised encoder; returns an int8 array of shape (len(values), n_digits)."""
-    t = np.asarray(values, dtype=np.int64).copy()
+    """Vectorised encoder; returns an int8 array of shape (len(values), n_digits).
+
+    One divmod by 243 per five digits of t + m_pad, held as uint64
+    (3**40 - 1 < 2**64), then one gather from :data:`GROUP_DIGITS`. m_pad is
+    the full scale of the word padded to whole groups, so the remainders are
+    the :func:`group_codes` of the result.
+    """
+    t = np.asarray(values, dtype=np.int64).reshape(-1)
     m = _array_full_scale(n_digits)
     if t.size and (t.min() < -m or t.max() > m):
         raise RangeError(f"values outside [-{m}, +{m}] for {n_digits} digits")
-    digits = np.empty((t.size, n_digits), dtype=np.int8)
-    for k in range(n_digits - 1, -1, -1):
-        r = t % 3
-        d = np.where(r == 2, -1, r)
-        digits[:, k] = d
-        t = (t - d) // 3
-    return digits
+    groups = group_count(n_digits)
+    m_pad = (GROUP_CODES**groups - 1) // 2
+    # Wrapping int64 -> uint64 and adding m_pad modulo 2**64 gives t + m_pad exactly.
+    rest = t.astype(np.uint64) + np.uint64(m_pad)
+    codes = np.empty((t.size, groups), dtype=np.intp)
+    for j in range(groups - 1, 0, -1):
+        rest, codes[:, j] = np.divmod(rest, np.uint64(GROUP_CODES))
+    codes[:, 0] = rest
+    digits = GROUP_DIGITS[codes].reshape(t.size, groups * GROUP_SIZE)
+    return np.ascontiguousarray(digits[:, digits.shape[1] - n_digits :])
+
+
+def group_codes(digits: np.ndarray) -> np.ndarray:
+    """Base-243 code of every five-digit group of digit words (count, n_digits).
+
+    Returns an intp array of shape (count, ceil(n_digits / 5)), most
+    significant group first. The top group holds n_digits % 5 digits when that
+    is not 0 and reads as if padded with leading zeros, so
+    ``GROUP_DIGITS[code]`` is a group's digits, padding included. Raises
+    RangeError unless ``digits`` is a 2-D integer array of digits -1, 0 and +1.
+    """
+    digits = _checked_digits(digits)
+    count, n = digits.shape
+    groups = group_count(n)
+    codes = np.empty((groups, count), dtype=np.intp)
+    stop = n
+    for j in range(groups - 1, -1, -1):
+        start = max(stop - GROUP_SIZE, 0)
+        code = codes[j]
+        code[:] = digits[:, start]
+        for k in range(start + 1, stop):
+            code *= 3
+            code += digits[:, k]
+        code += GROUP_CODES // 2  # a group's code is its value plus 121
+        stop = start
+    return codes.T
 
 
 def encode_stream(stream: Iterable[int], n_digits: int = DEFAULT_N_DIGITS) -> tuple[np.ndarray, int]:
@@ -283,17 +354,10 @@ def write_digit_dump(path, digits: np.ndarray, header_lines: Iterable[str] = ())
     Raises RangeError unless ``digits`` is 2-D with every digit in {-1, 0, +1},
     and FileFormatError, leaving ``path`` as it was, when the file cannot be written.
     """
-    digits = np.asarray(digits)
-    if digits.ndim != 2 or digits.dtype.kind not in "biu":
-        raise RangeError(
-            f"digits must be a 2-D integer array (count, n_digits), got {digits.dtype} "
-            f"of shape {digits.shape}"
-        )
-    if digits.size and (digits.min() < -1 or digits.max() > 1):
-        raise RangeError("digit array holds values other than -1, 0 and +1")
+    digits = _checked_digits(digits)
     count, n = digits.shape
     block = np.empty((count, n + 1), dtype=np.uint8)
-    block[:, :n] = _DUMP_CHARS[digits.astype(np.int8, copy=False) + 1]
+    block[:, :n] = _DUMP_CHARS[digits + 1]
     block[:, n] = ord("\n")
     header = "".join(line if line.endswith("\n") else line + "\n" for line in header_lines)
     try:

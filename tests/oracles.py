@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's solution paths: the mesh solver uses
 fundamental-loop currents instead of nodal analysis, the scaling oracle
-uses exact rational arithmetic, and the digit-dump oracles write and read one
-line at a time instead of one array at a time.
+uses exact rational arithmetic, the digit-dump oracles write and read one
+line at a time instead of one array at a time, the encoder oracle works one
+digit position at a time instead of five-digit groups, and the output oracle
+multiplies digit indicators by weights instead of looking up group tables.
 """
 
 from __future__ import annotations
@@ -160,3 +162,21 @@ def read_digit_dump_oracle(path, n_digits=None) -> np.ndarray:
         width = n_digits if n_digits is not None else 0
         return np.empty((0, width), dtype=np.int8)
     return np.array(rows, dtype=np.int8)
+
+
+def to_balanced_ternary_array_oracle(values, n_digits: int) -> np.ndarray:
+    """Digit words built one digit position at a time: remainder 2 is digit -1 plus a carry."""
+    t = np.asarray(values, dtype=np.int64).copy()
+    digits = np.empty((t.size, n_digits), dtype=np.int8)
+    for k in range(n_digits - 1, -1, -1):
+        r = t % 3
+        d = np.where(r == 2, -1, r)
+        digits[:, k] = d
+        t = (t - d) // 3
+    return digits
+
+
+def indicator_output_oracle(digits, w_pos, w_neg) -> np.ndarray:
+    """Output volts of digit words as two indicator GEMVs: +1 digits times w_pos, less -1 digits times w_neg."""
+    digits = np.asarray(digits)
+    return (digits == 1).astype(float) @ w_pos - (digits == -1).astype(float) @ w_neg

@@ -79,6 +79,38 @@ def test_encode_reports_bad_sample_line(tmp_path, capsys):
     assert "[IO]" in err and ":2:" in err
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("1e3", "not an integer sample: '1e3'"),
+        ("+-5", "not an integer sample: '+-5'"),
+        ("1__0", "not an integer sample: '1__0'"),
+        ("2147483648", "sample 2147483648 outside 32-bit range"),
+        ("-2_147_483_649", "sample -2147483649 outside 32-bit range"),
+        ("000000000012345678901", "sample 12345678901 outside 32-bit range"),
+        ("10000000000", "sample 10000000000 outside 32-bit range"),
+        ("-20_000_000_001", "sample -20000000001 outside 32-bit range"),
+    ],
+)
+def test_sample_file_fault_after_comments_and_blanks(tmp_path, bad, message):
+    # Comment, blank and indented lines before the faulty line still count
+    # toward its number; the good lines around it do not hide it.
+    src = tmp_path / "samples.txt"
+    src.write_text(f"# header\n\n  7\n# note\n\t\n  {bad}  \n-3\n{bad}\n", encoding="ascii")
+    with pytest.raises(FileFormatError) as exc:
+        cli._read_sample_file(src)
+    assert str(exc.value) == f"{src}:6: {message}"
+
+
+def test_sample_file_accepts_int_syntax(tmp_path):
+    src = tmp_path / "samples.txt"
+    lines = ["# c", "", "+5", "-0", "007", "1_000", f"{-(2**31)}", f"+{2**31 - 1}", "0" * 30 + "42"]
+    src.write_text("\r\n".join(lines), encoding="ascii")
+    values = cli._read_sample_file(src)
+    assert values.dtype == np.int64
+    assert values.tolist() == [5, 0, 7, 1000, -(2**31), 2**31 - 1, 42]
+
+
 def test_encode_digits_beyond_codec_range_is_range_error(tmp_path, capsys):
     out = tmp_path / "digits.txt"
     code = run(

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from ternadac import codec
 from ternadac.errors import FileFormatError, RangeError
 
-from oracles import read_digit_dump_oracle, scale_oracle, write_digit_dump_oracle
+from oracles import (
+    read_digit_dump_oracle,
+    scale_oracle,
+    to_balanced_ternary_array_oracle,
+    write_digit_dump_oracle,
+)
 
 FULL_SCALE_20 = (3**20 - 1) // 2  # 1_743_392_200, by integer arithmetic
 
@@ -195,6 +200,57 @@ def test_array_codec_matches_scalar():
         assert tuple(int(d) for d in row) == codec.to_balanced_ternary(int(t), 20).digits
     back = codec.from_balanced_ternary_array(digits)
     assert np.array_equal(back, values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_group_encoder_matches_digit_loop_oracle(data):
+    # Every width the array codec supports, with 0 and both full scales in
+    # every draw: at 40 digits t + m reaches 3**40 - 1, beyond int64.
+    for n in range(1, codec.MAX_ARRAY_DIGITS + 1):
+        m = codec.ternary_full_scale(n)
+        drawn = data.draw(st.lists(st.integers(-m, m), max_size=6), label=f"values{n}")
+        values = np.array([0, m, -m, 1 - m, m - 1, *drawn], dtype=np.int64)
+        digits = codec.to_balanced_ternary_array(values, n)
+        assert digits.dtype == np.int8 and digits.flags.c_contiguous
+        assert np.array_equal(digits, to_balanced_ternary_array_oracle(values, n))
+        assert np.array_equal(codec.from_balanced_ternary_array(digits), values)
+
+
+def test_group_encoder_uint64_edge():
+    n = codec.MAX_ARRAY_DIGITS
+    m = codec.ternary_full_scale(n)
+    digits = codec.to_balanced_ternary_array(np.array([m, -m, 0]), n)
+    assert np.array_equal(digits, np.array([[1] * n, [-1] * n, [0] * n], dtype=np.int8))
+    with pytest.raises(RangeError):
+        codec.to_balanced_ternary_array([m + 1], n)
+    with pytest.raises(RangeError):
+        codec.to_balanced_ternary_array([-m - 1], n)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 6, 11, 20, codec.MAX_ARRAY_DIGITS])
+def test_group_codes_index_the_group_digit_table(n):
+    rng = np.random.default_rng(n)
+    words = rng.integers(-1, 2, size=(60, n)).astype(np.int8)
+    codes = codec.group_codes(words)
+    groups = -(-n // 5)
+    assert codes.shape == (60, groups)
+    # The top group reads as if padded with leading zeros.
+    padded = codec.GROUP_DIGITS[codes].reshape(60, 5 * groups)
+    assert np.array_equal(padded[:, : 5 * groups - n], np.zeros((60, 5 * groups - n)))
+    assert np.array_equal(padded[:, 5 * groups - n :], words)
+    # A code is its group's balanced value plus 121, so all-zero groups are 121.
+    zero = codec.group_codes(np.zeros((1, n), dtype=np.int8))
+    assert zero.tolist() == [[codec.GROUP_CODES // 2] * groups]
+
+
+def test_group_codes_reject_non_digits():
+    with pytest.raises(RangeError):
+        codec.group_codes(np.array([[0, 2, 1]], dtype=np.int8))
+    with pytest.raises(RangeError):
+        codec.group_codes(np.array([0, 1, -1], dtype=np.int8))
+    with pytest.raises(RangeError):
+        codec.group_codes(np.zeros((2, 3)))
 
 
 def test_encode_monotone_identity():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ternadac import codec, dac, network
 from ternadac.errors import CalibrationError, ConfigError, RangeError
 
-from oracles import loop_current_solve
+from oracles import indicator_output_oracle, loop_current_solve
 
 LADDER = dac.StageKind.LADDER_4R3R
 POWER3 = dac.StageKind.POWER3_WEIGHTED
@@ -442,6 +442,57 @@ def test_rail_currents_array_matches_scalar(calibrated):
         scalar = converter.supply_currents(codec.DigitVector.from_array(row))
         assert rails[90.0][k] == pytest.approx(scalar[90.0], rel=1e-9, abs=1e-15)
         assert rails[12.0][k] == pytest.approx(scalar[12.0], rel=1e-9, abs=1e-15)
+
+
+def three_rail_config():
+    # Eleven digits (a one-digit top group) on 60 V, 24 V and 5 V rails.
+    stages = [dac.StageSpec(POWER3, 300.0, 60.0), dac.StageSpec(POWER3, 900.0, 60.0)]
+    stages += [dac.StageSpec(LADDER, 3000.0, 24.0) for _ in range(4)]
+    stages += [dac.StageSpec(LADDER, 8000.0, 5.0) for _ in range(5)]
+    return dac.DacConfig(stages=tuple(stages), load_ohms=16.0, r_on=0.5)
+
+
+@pytest.fixture(scope="module", params=["six-stage perturbed", "prototype", "three-rail"])
+def table_converter(request, calibrated):
+    configs = {
+        # Mismatched halves, so a swapped +1/-1 indicator column shows.
+        "six-stage perturbed": lambda: dac.perturb(dataclasses.replace(uniform_ladder(), tolerance=0.05), 3),
+        "prototype": lambda: calibrated,
+        "three-rail": three_rail_config,
+    }
+    return dac.Dac(configs[request.param]())
+
+
+def test_table_output_matches_indicator_gemv(table_converter):
+    n = table_converter.n_digits
+    rng = np.random.default_rng(40 + n)
+    full = np.ones((1, n), dtype=np.int8)
+    words = np.concatenate([random_words(rng, n, 500), full, -full])
+    table = table_converter.weight_table()
+    expected = indicator_output_oracle(words, table.w_pos_loaded, table.w_neg_loaded)
+    actual = table_converter.output_array(words)
+    assert np.abs(actual - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_table_output_is_exact_on_zero_and_single_digit_words(table_converter):
+    n = table_converter.n_digits
+    table = table_converter.weight_table()
+    assert table_converter.output_array(np.zeros((1, n), dtype=np.int8)).tolist() == [0.0]
+    eye = np.eye(n, dtype=np.int8)
+    assert np.array_equal(table_converter.output_array(eye), table.w_pos_loaded)
+    assert np.array_equal(table_converter.output_array(-eye), -table.w_neg_loaded)
+
+
+def test_rail_currents_array_matches_supply_currents(table_converter):
+    n = table_converter.n_digits
+    block = dac.RAIL_BLOCK
+    words = random_words(np.random.default_rng(50 + n), n, 2 * block + 7)
+    rails = table_converter.rail_currents_array(words)
+    assert set(rails) == set(table_converter.rail_voltages)
+    for k in [*range(40), block - 1, block, 2 * block - 1, 2 * block, 2 * block + 6]:
+        d = codec.DigitVector.from_array(words[k])
+        for volts, amps in table_converter.supply_currents(d).items():
+            assert rails[volts][k] == pytest.approx(amps, rel=1e-9, abs=1e-15)
 
 
 @pytest.mark.parametrize("load", [8.0, 32.0, 600.0, math.inf])
