@@ -21,17 +21,7 @@ from .analysis import (
     snap_coherent,
     thermal_noise,
 )
-from .codec import (
-    DigitVector,
-    Switch,
-    SwitchStates,
-    from_balanced_ternary,
-    leading_zero_count,
-    scale_sample,
-    split_differential,
-    ternary_full_scale,
-    to_balanced_ternary,
-)
+from .codec import DigitVector, ternary_full_scale
 from .dac import (
     Dac,
     DacConfig,
@@ -77,13 +67,6 @@ __all__ = [
     "__version__",
     # codec
     "DigitVector",
-    "Switch",
-    "SwitchStates",
-    "scale_sample",
-    "to_balanced_ternary",
-    "from_balanced_ternary",
-    "leading_zero_count",
-    "split_differential",
     "ternary_full_scale",
     # network
     "Resistor",

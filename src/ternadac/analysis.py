@@ -26,7 +26,10 @@ def snap_coherent(frequency_hz: float, fs_hz: float, n_samples: int) -> float:
     """Nearest frequency with an integer number of cycles in the record."""
     if n_samples < 2:
         raise RangeError("record must hold at least 2 samples")
-    k = int(round(frequency_hz * n_samples / fs_hz))
+    cycles = frequency_hz * n_samples / fs_hz
+    if not math.isfinite(cycles):
+        raise RangeError(f"{frequency_hz:g} Hz at fs={fs_hz:g} Hz has no coherent bin")
+    k = int(round(cycles))
     k = min(max(k, 1), n_samples // 2 - 1)
     return k * fs_hz / n_samples
 
@@ -103,8 +106,8 @@ class NoiseBudget:
 
 def thermal_noise(temperature_k: float, bandwidth_hz: float) -> NoiseBudget:
     """kTB available noise power and its dBm equivalent."""
-    if temperature_k <= 0 or bandwidth_hz <= 0:
-        raise RangeError("temperature and bandwidth must be > 0")
+    if not (0 < temperature_k < math.inf and 0 < bandwidth_hz < math.inf):
+        raise RangeError("temperature and bandwidth must be finite and > 0")
     noise_w = BOLTZMANN_J_PER_K * temperature_k * bandwidth_hz
     return NoiseBudget(
         k_boltzmann=BOLTZMANN_J_PER_K,
@@ -152,6 +155,8 @@ def _coherent_sine(
     level_dbfs: float, f0_hz: float, duration_s: float, fs_hz: float
 ) -> StimulusSpec:
     """Sine stimulus on a power-of-two record, its tone snapped to a coherent bin."""
+    if not math.isfinite(duration_s * fs_hz):
+        raise RangeError(f"duration {duration_s:g} s at fs={fs_hz:g} Hz gives no finite record")
     n = int(round(duration_s * fs_hz))
     if n < 4 or n & (n - 1):
         raise RangeError(

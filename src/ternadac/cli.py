@@ -119,8 +119,8 @@ def _parse_levels(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"--levels: not numeric: {text!r}") from None
-        if step <= 0 or stop < start:
-            raise ConfigError("--levels range needs step > 0 and stop >= start")
+        if not (math.isfinite(start) and start <= stop < math.inf and 0 < step < math.inf):
+            raise ConfigError("--levels range needs finite bounds, step > 0 and stop >= start")
         count = int(round((stop - start) / step)) + 1
         return [start + k * step for k in range(count)]
     try:
@@ -285,6 +285,8 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_noise(args) -> int:
+    if not math.isfinite(args.pmax_dbm):
+        raise ConfigError(f"--pmax-dbm must be a finite dBm figure, got {args.pmax_dbm}")
     budget = analysis.thermal_noise(args.t, args.b)
     dr = analysis.dynamic_range(args.pmax_dbm, budget.noise_dbm)
     manifest = RunManifest(

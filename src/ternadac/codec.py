@@ -1,10 +1,11 @@
-"""Balanced-ternary codec between 32-bit fixed-point samples and digit vectors.
+"""Balanced-ternary codec between 32-bit fixed-point samples and digit words.
 
-Digit vectors are ordered most-significant first. Every integer t with
-|t| <= m = (3**n - 1) // 2 has exactly one n-digit representation with digits
-drawn from {-1, 0, +1}; the codec is an exact bijection on that range.
+A digit word is one row of an int8 array, most significant digit first.
+Every integer t with |t| <= m = (3**n - 1) // 2 has exactly one n-digit
+representation with digits drawn from {-1, 0, +1}; the codec is an exact
+bijection on that range.
 
-The array codec works on groups of five digits. The balanced digits of t are
+The codec works on groups of five digits. The balanced digits of t are
 the base-3 digits of t + m, minus 1 (Knuth, TAOCP vol. 2, §4.1). The encoder
 pads the word with leading zeros to whole groups, takes one base-243
 remainder of t + m_pad per group (m_pad the padded word's full scale) and
@@ -18,7 +19,6 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,9 +36,6 @@ DEFAULT_N_DIGITS = 20
 #: (3**40 - 1) // 2 < 2**63 <= (3**41 - 1) // 2.
 MAX_ARRAY_DIGITS = 40
 
-#: A ternary value is a plain integer in [-(3**n - 1)/2, +(3**n - 1)/2].
-TernaryValue = int
-
 #: Digits per group of the array codec; a group's code is one base-243 digit.
 GROUP_SIZE = 5
 GROUP_CODES = 3**GROUP_SIZE
@@ -48,9 +45,6 @@ GROUP_DIGITS = (
     np.arange(GROUP_CODES)[:, None] // 3 ** np.arange(GROUP_SIZE - 1, -1, -1) % 3 - 1
 ).astype(np.int8)
 GROUP_DIGITS.setflags(write=False)
-
-_DIGIT_TO_CHAR = {1: "+", 0: "0", -1: "-"}
-_CHAR_TO_DIGIT = {"+": 1, "0": 0, "-": -1}
 
 
 def ternary_full_scale(n_digits: int) -> int:
@@ -70,7 +64,11 @@ def _array_full_scale(n_digits: int) -> int:
 
 @dataclass(frozen=True)
 class DigitVector:
-    """Ordered balanced-ternary digits, index 0 = most significant."""
+    """One validated digit word, index 0 = most significant.
+
+    The reference paths of :class:`~ternadac.dac.Dac` take any 1-D digit
+    sequence; this wrapper is one such sequence.
+    """
 
     digits: tuple[int, ...]
 
@@ -84,85 +82,22 @@ class DigitVector:
     def __len__(self) -> int:
         return len(self.digits)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.digits)
-
     def __getitem__(self, k: int) -> int:
         return self.digits[k]
-
-    def __neg__(self) -> "DigitVector":
-        return DigitVector(tuple(-d for d in self.digits))
-
-    def to_string(self) -> str:
-        """Render as one character per digit from {+, 0, -}."""
-        return "".join(_DIGIT_TO_CHAR[d] for d in self.digits)
-
-    @classmethod
-    def from_string(cls, text: str) -> "DigitVector":
-        try:
-            return cls(tuple(_CHAR_TO_DIGIT[c] for c in text))
-        except KeyError as exc:
-            raise FileFormatError(f"invalid digit character {exc.args[0]!r}") from None
 
     @classmethod
     def from_array(cls, row: Iterable[int]) -> "DigitVector":
         return cls(tuple(int(d) for d in row))
 
 
-class Switch(Enum):
-    """State of one SPDT switch: reference rail or ground."""
-
-    GND = 0
-    HIGH = 1
-
-
-@dataclass(frozen=True)
-class SwitchStates:
-    """Per-stage switch states of the two differential half ladders."""
-
-    upper: tuple[Switch, ...]
-    lower: tuple[Switch, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.upper) != len(self.lower):
-            raise RangeError("upper and lower switch lists must have equal length")
-        for u, l in zip(self.upper, self.lower):
-            if u is Switch.HIGH and l is Switch.HIGH:
-                raise RangeError("upper and lower switches must never be HIGH together")
-
-
-def _round_half_away(num: int, den: int) -> int:
-    # den > 0; exact integer round-to-nearest, ties away from zero.
-    q = (2 * abs(num) + den) // (2 * den)
-    return q if num >= 0 else -q
-
-
-def scale_sample(sample: int, n_digits: int = DEFAULT_N_DIGITS) -> tuple[int, bool]:
-    """Map a 32-bit sample onto the ternary range of ``n_digits`` digits.
+def scale_samples(samples: Iterable[int], n_digits: int = DEFAULT_N_DIGITS) -> tuple[np.ndarray, int]:
+    """Map 32-bit samples onto the ternary range of ``n_digits`` digits, exact in int64.
 
     Positive full scale (2**31 - 1) maps exactly onto +(3**n - 1)/2; rounding
     is to nearest with ties away from zero, which keeps the mapping odd
-    symmetric. Results outside the range are clamped, reported by the flag
-    rather than raised.
-
-    Returns:
-        (value, clamped)
-    """
-    if not SAMPLE_MIN <= sample <= SAMPLE_FULL_SCALE:
-        raise RangeError(f"sample {sample} is not a 32-bit signed integer")
-    m = ternary_full_scale(n_digits)
-    t = _round_half_away(sample * m, SAMPLE_FULL_SCALE)
-    if t < -m:
-        return -m, True
-    if t > m:
-        return m, True
-    return t, False
-
-
-def scale_samples(samples: Iterable[int], n_digits: int = DEFAULT_N_DIGITS) -> tuple[np.ndarray, int]:
-    """Vectorised :func:`scale_sample` over a stream, exact in int64.
-
-    Supports ``n_digits`` up to :data:`MAX_ARRAY_DIGITS`; more raise RangeError.
+    symmetric. Results outside the range are clamped and counted rather than
+    raised. Supports ``n_digits`` up to :data:`MAX_ARRAY_DIGITS`; more raise
+    RangeError.
 
     Returns:
         (int64 array of ternary values, number of clamped samples)
@@ -179,25 +114,6 @@ def scale_samples(samples: Iterable[int], n_digits: int = DEFAULT_N_DIGITS) -> t
     t = np.where(s >= 0, t, -t)
     clamped = int(np.count_nonzero((t < -m) | (t > m)))
     return np.clip(t, -m, m), clamped
-
-
-def to_balanced_ternary(t: int, n_digits: int = DEFAULT_N_DIGITS) -> DigitVector:
-    """Convert an in-range integer to its unique balanced-ternary digit vector.
-
-    Sequential algorithm: repeated division by 3 with the remainder 2 remapped
-    to digit -1 plus a carry into the next position.
-    """
-    m = ternary_full_scale(n_digits)
-    t = int(t)
-    if not -m <= t <= m:
-        raise RangeError(f"value {t} outside [-{m}, +{m}] for {n_digits} digits")
-    out = [0] * n_digits
-    for k in range(n_digits - 1, -1, -1):
-        r = t % 3
-        d = -1 if r == 2 else r
-        out[k] = d
-        t = (t - d) // 3
-    return DigitVector(tuple(out))
 
 
 def _checked_digits(digits) -> np.ndarray:
@@ -278,12 +194,6 @@ def encode_stream(stream: Iterable[int], n_digits: int = DEFAULT_N_DIGITS) -> tu
     return to_balanced_ternary_array(values, n_digits), clamped
 
 
-def from_balanced_ternary(d: DigitVector) -> int:
-    """Exact digit-weighted sum; inverse of :func:`to_balanced_ternary`."""
-    n = len(d)
-    return sum(dk * 3 ** (n - 1 - k) for k, dk in enumerate(d))
-
-
 def from_balanced_ternary_array(digits: np.ndarray) -> np.ndarray:
     """Vectorised decoder for an array of shape (count, n_digits)."""
     digits = np.asarray(digits, dtype=np.int64)
@@ -293,33 +203,12 @@ def from_balanced_ternary_array(digits: np.ndarray) -> np.ndarray:
     return digits @ powers
 
 
-def leading_zero_count(d: DigitVector) -> int:
-    """Number of consecutive zero digits starting at the most significant end."""
-    count = 0
-    for dk in d:
-        if dk != 0:
-            break
-        count += 1
-    return count
-
-
 def leading_zero_count_array(digits: np.ndarray) -> np.ndarray:
     """Per-row leading-zero counts for an array of shape (count, n_digits)."""
     digits = np.asarray(digits)
     nonzero = digits != 0
     first = nonzero.argmax(axis=1)
     return np.where(nonzero.any(axis=1), first, digits.shape[1])
-
-
-def split_differential(d: DigitVector) -> SwitchStates:
-    """Map digits onto the two half ladders of the differential topology.
-
-    +1 drives the upper switch HIGH, -1 drives the lower switch HIGH, 0 leaves
-    both at ground, so the all-zero word draws no quiescent power.
-    """
-    upper = tuple(Switch.HIGH if dk == 1 else Switch.GND for dk in d)
-    lower = tuple(Switch.HIGH if dk == -1 else Switch.GND for dk in d)
-    return SwitchStates(upper=upper, lower=lower)
 
 
 # --- digit dump file format -------------------------------------------------

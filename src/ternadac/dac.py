@@ -32,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 from . import codec
-from .codec import DigitVector, split_differential
 from .errors import CalibrationError, ConfigError, RangeError
 from .network import NetworkSolver, Resistor, ResistiveNetwork, VoltageSource
 
@@ -403,7 +402,6 @@ class Dac:
         self._tables = group_tables(w_pos_loaded, w_neg_loaded)
         self._tables.setflags(write=False)
         volts = np.array([st.supply_v for st in config.stages])
-        self._volts = volts
         self.rail_voltages: tuple[float, ...] = tuple(sorted(set(volts), reverse=True))
         self._source_volts = np.concatenate([volts, volts])
         # R[j, r] = 1 when source j (upper stages, then lower) draws from rail r.
@@ -416,22 +414,29 @@ class Dac:
     def weight_table(self) -> WeightTable:
         return self._table
 
-    def source_levels(self, d: DigitVector) -> np.ndarray:
-        """Per-source volts for one digit word, by the differential split rule."""
-        if len(d) != self.n_digits:
-            raise RangeError(f"digit count {len(d)} does not match {self.n_digits} stages")
-        states = split_differential(d)
-        upper = [self._volts[k] * s.value for k, s in enumerate(states.upper)]
-        lower = [self._volts[k] * s.value for k, s in enumerate(states.lower)]
-        return np.array(upper + lower, dtype=float)
+    def source_levels(self, word: Sequence[int]) -> np.ndarray:
+        """Per-source volts of one digit word, any 1-D sequence of n_digits digits.
+
+        +1 drives the upper stage's switch HIGH, -1 the lower one's, and 0
+        grounds both, so no source pair is ever HIGH together. RangeError
+        unless ``word`` is 1-D with n_digits digits from {-1, 0, +1}.
+        """
+        row = np.asarray(word)
+        if row.shape != (self.n_digits,) or row.dtype.kind not in "biu":
+            raise RangeError(
+                f"a digit word is 1-D with {self.n_digits} integer digits, "
+                f"got {row.dtype} of shape {row.shape}"
+            )
+        row = codec._checked_digits(row[None])[0]
+        return self._source_volts * np.concatenate([row == 1, row == -1])
 
     @cached_property
     def _loaded(self) -> NetworkSolver:  # the reference paths' network, load included
         return NetworkSolver(_layout(self.config).network(self.config.load_ohms))
 
-    def output_direct(self, d: DigitVector) -> float:
-        """Reference path: full network solve of the switch state into the load."""
-        return float(self._loaded.port_voltage(self.source_levels(d)))
+    def output_direct(self, word: Sequence[int]) -> float:
+        """Reference path: full network solve of one digit word's switch state into the load."""
+        return float(self._loaded.port_voltage(self.source_levels(word)))
 
     def output_array(self, digits: np.ndarray) -> np.ndarray:
         """Loaded output volts of digit words of shape (count, n_digits): the fast path."""
@@ -443,13 +448,13 @@ class Dac:
             raise RangeError(f"digit count {digits.shape[1]} does not match {self.n_digits} stages")
         return codec.group_codes(digits)
 
-    def supply_currents(self, d: DigitVector) -> dict[float, float]:
-        """Signed amps drawn from each supply rail for one digit word.
+    def supply_currents(self, word: Sequence[int]) -> dict[float, float]:
+        """Signed amps drawn from each supply rail for one digit word (reference path).
 
         Only sources whose switch is HIGH count toward their rail; a grounded
         switch conducts to ground, not to the supply.
         """
-        levels = self.source_levels(d)
+        levels = self.source_levels(word)
         currents = self._loaded.solve(levels).source_currents * (levels > 0)
         return dict(zip(self.rail_voltages, (currents @ self._rail_matrix).tolist()))
 

@@ -13,10 +13,13 @@ one dense ``numpy.linalg.solve`` (networks here stay well under a hundred nodes)
 A source with a positive series resistance is stamped as its Norton
 equivalent, which keeps the matrix size down; a source with zero series
 resistance gets an explicit branch-current unknown. Source currents are
-reported positive out of the source's positive terminal in both cases. A
-near-short resistor (see :data:`NEAR_SHORT_RATIO`) is stamped as a group-2
-branch: a current unknown with ``v_a - v_b - R·i = 0``, so its huge
-conductance never swamps the rest of its node's row.
+reported positive out of the source's positive terminal in every case. A
+near-short branch (see :data:`NEAR_SHORT_RATIO`) is stamped as a group-2
+branch: a current unknown with ``v_a - v_b - R·i = 0`` for a resistor, and
+``v_node - R·i = level`` for a source, whose current is then ``-i``. Its
+huge conductance never swamps the rest of its node's row, and a source's
+current is solved for instead of taken as the difference
+``(level - v_node)/R`` of two nearly equal volts.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from .errors import SolverError
 #: Relative residual bound every solve is verified against.
 RESIDUAL_RTOL = 1e-9
 
-#: A resistor whose conductance exceeds the rest of the conductance at its
-#: weaker endpoint by this ratio gets a branch-current unknown. Ground and
-#: ideal-source nodes are held at fixed potential and never count as weaker.
+#: A branch (resistor or Norton source) whose conductance exceeds the rest of
+#: the conductance at its weaker endpoint by this ratio gets a branch-current
+#: unknown. Ground and ideal-source nodes are held at fixed potential and
+#: never count as weaker.
 NEAR_SHORT_RATIO = 1e4
 
 
@@ -144,8 +148,8 @@ class NetworkSolver:
     The graph is held as an incidence stamp: the conductance part of the
     system matrix is ``Incᵀ·diag(g)·Inc`` over the branches (resistors, then
     Norton sources), plus the fixed rows of ideal sources and near-short
-    resistors (Ho, Ruehli & Brennan, "The modified nodal approach to network
-    analysis", IEEE Trans. CAS 22(6), 1975). Which resistors are near-short
+    branches (Ho, Ruehli & Brennan, "The modified nodal approach to network
+    analysis", IEEE Trans. CAS 22(6), 1975). Which branches are near-short
     is fixed per topology and their ``-R`` cells come from the conductance
     row, so a stack of rows is still one solve. The network's own
     conductances give the single-network paths; :meth:`batch_port` solves
@@ -163,10 +167,10 @@ class NetworkSolver:
         n = net.n_nodes
         self._n_nodes = n
         series = np.array([s.series_ohms for s in net.sources])
-        self._norton = np.flatnonzero(series > 0.0)
+        norton = np.flatnonzero(series > 0.0)
         self._ideal = np.flatnonzero(series == 0.0)
         src_rows = np.array([s.node - 1 for s in net.sources], dtype=np.intp)
-        self._norton_rows = src_rows[self._norton]
+        norton_rows = src_rows[norton]
         ideal_nodes = src_rows[self._ideal]
 
         # Branch b joins ia[b] to ib[b] (unknown indices, -1 = ground): the
@@ -174,11 +178,9 @@ class NetworkSolver:
         n_res = len(net.resistors)
         ia = np.array([r.node_a - 1 for r in net.resistors], dtype=np.intp)
         ib = np.array([r.node_b - 1 for r in net.resistors], dtype=np.intp)
-        ia = np.concatenate([ia, self._norton_rows])
-        ib = np.concatenate([ib, np.full(len(self._norton), -1)])
-        self._norton_branches = n_res + np.arange(len(self._norton))
-        self._norton_ohms = series[self._norton]
-        ohms = np.concatenate([[r.ohms for r in net.resistors], self._norton_ohms])
+        ia = np.concatenate([ia, norton_rows])
+        ib = np.concatenate([ib, np.full(len(norton), -1)])
+        ohms = np.concatenate([[r.ohms for r in net.resistors], series[norton]])
         #: Branch conductances: resistors in order, then Norton sources in order.
         self.conductances = 1.0 / ohms
 
@@ -187,9 +189,8 @@ class NetworkSolver:
         np.add.at(node_g, np.concatenate([ia, ib]) + 1, np.tile(self.conductances, 2))
         node_g[0] = np.inf
         node_g[ideal_nodes + 1] = np.inf
-        g_res = self.conductances[:n_res]
-        rest = np.minimum(node_g[ia[:n_res] + 1], node_g[ib[:n_res] + 1]) - g_res
-        self._shorts = np.flatnonzero(g_res > NEAR_SHORT_RATIO * rest)
+        rest = np.minimum(node_g[ia + 1], node_g[ib + 1]) - self.conductances
+        self._shorts = np.flatnonzero(self.conductances > NEAR_SHORT_RATIO * rest)
 
         # Unknowns: node voltages 1..n-1, ideal-source currents, near-short currents.
         self._ideal_rows = (n - 1) + np.arange(len(self._ideal))
@@ -217,6 +218,16 @@ class NetworkSolver:
             live = ends >= 0
             self._fixed[ends[live], self._short_rows[live]] = sign  # current leaves a, enters b
             self._fixed[self._short_rows[live], ends[live]] = sign  # v_a - v_b - R·i = 0
+
+        # Norton sources are stamped unless their branch is near-short; then
+        # its current unknown is the source's (negated) current.
+        near = np.isin(n_res + np.arange(len(norton)), self._shorts)
+        self._stamped = norton[~near]
+        self._stamped_rows = norton_rows[~near]
+        self._stamped_branches = n_res + np.flatnonzero(~near)
+        self._stamped_ohms = series[self._stamped]
+        self._near = norton[near]
+        self._near_rows = self._short_rows[self._shorts >= n_res]
 
         self._matrix = self._stamp(self.conductances[None])[0]
         self._source_rhs = self._unit_rhs(self.conductances[None])[0, :, :-1]
@@ -247,7 +258,8 @@ class NetworkSolver:
         """
         k = self.n_sources
         b = np.zeros((g.shape[0], self._n_unknowns, k + 1))
-        b[:, self._norton_rows, self._norton] = g[:, self._norton_branches]
+        b[:, self._stamped_rows, self._stamped] = g[:, self._stamped_branches]
+        b[:, self._near_rows, self._near] = 1.0
         b[:, self._ideal_rows, self._ideal] = 1.0
         p, q = self.net.port
         if p > 0:
@@ -299,15 +311,20 @@ class NetworkSolver:
             raise SolverError(
                 f"singular or ill-conditioned system (largest residual at node {node})"
             )
-        n = self._n_nodes
-        voltages = np.zeros(n)
-        voltages[1:] = x[: n - 1]
-        currents = np.empty(self.n_sources)
-        currents[self._norton] = (
-            levels[self._norton] - voltages[self._norton_rows + 1]
-        ) / self._norton_ohms
-        currents[self._ideal] = x[self._ideal_rows]
+        voltages = np.zeros(self._n_nodes)
+        voltages[1:] = x[: self._n_nodes - 1]
+        currents = self._source_currents(x[:, None], levels[:, None])[:, 0]
         return Solution(node_voltages=voltages, source_currents=currents)
+
+    def _source_currents(self, x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """Source currents, shape (n_sources, k), of unknowns ``x`` solved at ``levels``."""
+        currents = np.empty(levels.shape)
+        currents[self._stamped] = (
+            levels[self._stamped] - x[self._stamped_rows]
+        ) / self._stamped_ohms[:, None]
+        currents[self._near] = -x[self._near_rows]
+        currents[self._ideal] = x[self._ideal_rows]
+        return currents
 
     def port_voltage(self, source_levels: Sequence[float]) -> float:
         sol = self.solve(source_levels)
@@ -347,14 +364,8 @@ class NetworkSolver:
     @cached_property
     def _unit_currents(self) -> np.ndarray:
         # Source currents of every unit column, shape (n_sources, n_sources + 1).
-        x = self._unit_solutions
         k = self.n_sources
-        currents = np.empty((k, k + 1))
-        currents[self._norton] = (
-            np.eye(k, k + 1)[self._norton] - x[self._norton_rows]
-        ) / self._norton_ohms[:, None]
-        currents[self._ideal] = x[self._ideal_rows]
-        return currents
+        return self._source_currents(self._unit_solutions, np.eye(k, k + 1))
 
     @cached_property
     def source_current_matrix(self) -> np.ndarray:

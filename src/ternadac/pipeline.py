@@ -19,7 +19,7 @@ import numpy as np
 
 from . import codec
 from .dac import Dac, DacConfig, load_divider
-from .errors import ConfigError
+from .errors import ConfigError, RangeError
 
 BOLTZMANN_J_PER_K = 1.380649e-23
 
@@ -46,11 +46,12 @@ class StimulusSpec:
     fs_hz: float = DEFAULT_FS_HZ
 
     def __post_init__(self) -> None:
-        if self.fs_hz <= 0:
-            raise ConfigError("fs_hz must be > 0")
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be > 0")
-        if self.amplitude_dbfs > 0:
+        # Written so that NaN fails every check.
+        if not 0 < self.fs_hz < math.inf:
+            raise ConfigError(f"fs_hz must be finite and > 0, got {self.fs_hz}")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError(f"duration_s must be finite and > 0, got {self.duration_s}")
+        if not self.amplitude_dbfs <= 0:
             raise ConfigError("amplitude_dbfs must be <= 0 (0 dBFS = full scale)")
         if self.kind in (StimulusKind.SINE, StimulusKind.BURST):
             if not 0 < self.frequency_hz < self.fs_hz / 2:
@@ -58,10 +59,10 @@ class StimulusSpec:
                     f"frequency_hz must lie in (0, fs/2) = (0, {self.fs_hz / 2:g})"
                 )
         if self.kind is StimulusKind.BURST:
-            if not self.burst_on_s or self.burst_on_s <= 0:
-                raise ConfigError("BURST requires burst_on_s > 0")
-            if self.burst_off_s is None or self.burst_off_s < 0:
-                raise ConfigError("BURST requires burst_off_s >= 0")
+            if self.burst_on_s is None or not 0 < self.burst_on_s < math.inf:
+                raise ConfigError("BURST requires a finite burst_on_s > 0")
+            if self.burst_off_s is None or not 0 <= self.burst_off_s < math.inf:
+                raise ConfigError("BURST requires a finite burst_off_s >= 0")
 
     @property
     def n_samples(self) -> int:
@@ -143,6 +144,10 @@ def simulate_digits(
     dac: Dac | None = None,
 ) -> SimulationTrace:
     """Run pre-encoded digit words through the converter model."""
+    if not 0 < fs_hz < math.inf:
+        raise ConfigError(f"fs_hz must be finite and > 0, got {fs_hz}")
+    if add_thermal_noise and not 0 < temperature_k < math.inf:
+        raise RangeError(f"noise temperature must be finite and > 0 K, got {temperature_k}")
     if dac is None:
         dac = Dac(config)
     digits = np.asarray(digits)

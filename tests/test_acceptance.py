@@ -118,7 +118,7 @@ def test_criterion_06_oracle_equivalence(calibrated):
     fast = converter.output_array(words)
     scale = float(np.abs(fast).max())
     for k, row in enumerate(words):
-        direct = converter.output_direct(codec.DigitVector.from_array(row))
+        direct = converter.output_direct(row)
         assert abs(fast[k] - direct) <= 1e-9 * max(abs(direct), 1e-9 * scale)
     report(6, "weight-table vs direct-solve equivalence")
 

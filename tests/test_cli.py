@@ -359,6 +359,38 @@ def test_bad_levels_is_config_error(tmp_path, capsys):
     assert "[CONFIG]" in capsys.readouterr().err
 
 
+BAD_NUMBERS = [
+    (["simulate", "--duration", "nan"], "CONFIG", 2),
+    (["simulate", "--duration", "inf"], "CONFIG", 2),
+    (["simulate", "--kind", "silence", "--fs", "nan"], "CONFIG", 2),
+    (["simulate", "--amp", "nan"], "CONFIG", 2),
+    (["simulate", "--kind", "burst", "--burst-on", "nan", "--burst-off", "0"], "CONFIG", 2),
+    (["simulate", "--duration", "0.004", "--noise", "--temp", "-5"], "RANGE", 3),
+    (["simulate", "--duration", "0.004", "--noise", "--temp", "nan"], "RANGE", 3),
+    (["sweep", "--levels=0", "--duration", "nan"], "RANGE", 3),
+    (["sweep", "--levels=0", "--duration", "inf"], "RANGE", 3),
+    (["sweep", "--levels=0", "--freq", "nan"], "RANGE", 3),
+    (["sweep", "--levels=0:nan:1"], "CONFIG", 2),
+    (["montecarlo", "--trials", "1", "--duration", "nan"], "RANGE", 3),
+    (["montecarlo", "--trials", "1", "--fs", "inf"], "RANGE", 3),
+    (["noise", "--t", "nan"], "RANGE", 3),
+    (["noise", "--b", "inf"], "RANGE", 3),
+    (["noise", "--pmax-dbm", "nan"], "CONFIG", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, category, code", BAD_NUMBERS, ids=[" ".join(argv) for argv, _, _ in BAD_NUMBERS]
+)
+def test_bad_numbers_fail_by_category(tmp_path, capsys, argv, category, code):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", out]) == code
+    err = capsys.readouterr().err
+    assert f"[{category}]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def data_section(path):
     return "\n".join(
         line for line in path.read_text(encoding="ascii").splitlines()

@@ -18,40 +18,42 @@ from oracles import (
 FULL_SCALE_20 = (3**20 - 1) // 2  # 1_743_392_200, by integer arithmetic
 
 
-# --- scale_sample -------------------------------------------------------
+# --- scale_samples ------------------------------------------------------
+
+
+def scaled(samples, n_digits=20):
+    """(values as Python ints, clamp count) of :func:`codec.scale_samples`."""
+    values, clamp_count = codec.scale_samples(np.array(samples, dtype=np.int64), n_digits)
+    return values.tolist(), clamp_count
 
 
 def test_scale_zero_maps_to_zero():
-    assert codec.scale_sample(0, 20) == (0, False)
+    assert scaled([0]) == ([0], 0)
 
 
 def test_scale_positive_full_scale_is_exact():
-    assert codec.scale_sample(2**31 - 1, 20) == (FULL_SCALE_20, False)
-    assert codec.scale_sample(-(2**31 - 1), 20) == (-FULL_SCALE_20, False)
+    assert scaled([2**31 - 1, -(2**31 - 1)]) == ([FULL_SCALE_20, -FULL_SCALE_20], 0)
 
 
 def test_scale_most_negative_sample_clamps():
-    value, clamped = codec.scale_sample(-(2**31), 20)
-    assert value == -FULL_SCALE_20
-    assert clamped
+    assert scaled([-(2**31)]) == ([-FULL_SCALE_20], 1)
 
 
 def test_scale_matches_exact_rational_oracle():
     rng = np.random.default_rng(7)
     samples = list(rng.integers(-(2**31), 2**31, size=2000))
     samples += [0, 1, -1, 2**31 - 1, -(2**31 - 1), -(2**31), 12345, -987654321]
-    for x in samples:
-        assert codec.scale_sample(int(x), 20) == scale_oracle(int(x), 20)
-    for x in samples:
-        assert codec.scale_sample(int(x), 8) == scale_oracle(int(x), 8)
+    for n in (20, 8):
+        expected = [scale_oracle(int(x), n) for x in samples]
+        assert scaled(samples, n) == ([t for t, _ in expected], sum(c for _, c in expected))
 
 
 def test_scale_negation_symmetry():
     rng = np.random.default_rng(8)
-    for x in rng.integers(-(2**31) + 1, 2**31, size=500):
-        t_pos, _ = codec.scale_sample(int(x), 20)
-        t_neg, _ = codec.scale_sample(-int(x), 20)
-        assert t_neg == -t_pos
+    samples = rng.integers(-(2**31) + 1, 2**31, size=500)
+    t_pos, _ = scaled(samples)
+    t_neg, _ = scaled(-samples)
+    assert t_neg == [-t for t in t_pos]
 
 
 def test_scale_quantization_error_bound():
@@ -59,19 +61,20 @@ def test_scale_quantization_error_bound():
     rng = np.random.default_rng(9)
     m = codec.ternary_full_scale(20)
     den = 2**31 - 1
-    for x in rng.integers(-(2**31) + 1, 2**31, size=2000):
-        t, clamped = codec.scale_sample(int(x), 20)
-        assert not clamped
-        assert 2 * abs(t * den - int(x) * m) <= den
+    samples = rng.integers(-(2**31) + 1, 2**31, size=2000)
+    values, clamp_count = scaled(samples)
+    assert clamp_count == 0
+    for x, t in zip(samples.tolist(), values):
+        assert 2 * abs(t * den - x * m) <= den
 
 
 def test_scale_samples_matches_scalar():
+    # A stream scales sample by sample: no sample depends on its neighbours,
+    # and the clamp count is the sum of the one-sample counts.
     rng = np.random.default_rng(10)
-    samples = rng.integers(-(2**31), 2**31, size=300)
-    values, clamp_count = codec.scale_samples(samples, 20)
-    expected = [codec.scale_sample(int(x), 20) for x in samples]
-    assert list(values) == [t for t, _ in expected]
-    assert clamp_count == sum(c for _, c in expected)
+    samples = np.concatenate([rng.integers(-(2**31), 2**31, size=300), [-(2**31)] * 3])
+    single = [scaled([x]) for x in samples.tolist()]
+    assert scaled(samples) == ([v for (v,), _ in single], sum(c for _, c in single))
 
 
 @pytest.mark.parametrize("n", [21, 30, codec.MAX_ARRAY_DIGITS])
@@ -103,9 +106,8 @@ def test_encode_stream_matches_oracle_for_every_width(samples):
         digits, clamp_count = codec.encode_stream(np.array(samples, dtype=np.int64), n)
         expected = [scale_oracle(x, n) for x in samples]
         assert digits.shape == (len(samples), n)
-        assert [tuple(row) for row in digits.tolist()] == [
-            codec.to_balanced_ternary(t, n).digits for t, _ in expected
-        ]
+        values = [t for t, _ in expected]
+        assert np.array_equal(digits, to_balanced_ternary_array_oracle(values, n))
         assert clamp_count == sum(c for _, c in expected)
         # Odd symmetry: negating every sample (-2**31 has no negation) negates every digit.
         mirror = [x for x in samples if x != codec.SAMPLE_MIN]
@@ -126,78 +128,82 @@ def test_array_codec_rejects_digits_beyond_int64():
 
 
 def test_scale_rejects_non_32bit_samples():
-    with pytest.raises(RangeError):
-        codec.scale_sample(2**31, 20)
-    with pytest.raises(RangeError):
-        codec.scale_samples([0, 2**31], 20)
+    for samples in ([2**31], [0, 2**31], [-(2**31) - 1]):
+        with pytest.raises(RangeError):
+            codec.scale_samples(samples, 20)
 
 
 # --- balanced ternary conversion -----------------------------------------
 
 
+def encoded(t, n):
+    """Digits of the single value ``t`` as a tuple of Python ints."""
+    return tuple(codec.to_balanced_ternary_array([t], n)[0].tolist())
+
+
 def test_to_ternary_zero_is_all_zeros():
-    assert codec.to_balanced_ternary(0, 20).digits == (0,) * 20
+    assert encoded(0, 20) == (0,) * 20
 
 
 def test_to_ternary_hand_example():
     # 9 - 3 - 1 = 5
-    assert codec.to_balanced_ternary(5, 3).digits == (1, -1, -1)
+    assert encoded(5, 3) == (1, -1, -1)
 
 
 def test_to_ternary_power_of_three():
     # Exactly one +1, at the position whose weight is the encoded power of 3.
-    assert codec.to_balanced_ternary(3**19, 20).digits == (1,) + (0,) * 19
-    assert codec.to_balanced_ternary(3**18, 20).digits == (0, 1) + (0,) * 18
+    assert encoded(3**19, 20) == (1,) + (0,) * 19
+    assert encoded(3**18, 20) == (0, 1) + (0,) * 18
 
 
 def test_to_ternary_out_of_range():
     m = codec.ternary_full_scale(4)
-    codec.to_balanced_ternary(m, 4)
+    assert encoded(m, 4) == (1,) * 4
     with pytest.raises(RangeError):
-        codec.to_balanced_ternary(m + 1, 4)
+        codec.to_balanced_ternary_array([m + 1], 4)
     with pytest.raises(RangeError):
-        codec.to_balanced_ternary(-m - 1, 4)
+        codec.to_balanced_ternary_array([-m - 1], 4)
 
 
 def test_from_ternary_all_plus_is_geometric_sum():
-    d = codec.DigitVector((1,) * 20)
     expected = sum(3**k for k in range(20))  # independent digit sum
-    assert codec.from_balanced_ternary(d) == expected == FULL_SCALE_20
+    decoded = codec.from_balanced_ternary_array(np.ones((1, 20), dtype=np.int8))
+    assert decoded.tolist() == [expected] == [FULL_SCALE_20]
 
 
 def test_from_ternary_negation_linearity():
     rng = np.random.default_rng(11)
     m = codec.ternary_full_scale(12)
-    for t in rng.integers(-m, m + 1, size=200):
-        d = codec.to_balanced_ternary(int(t), 12)
-        assert codec.from_balanced_ternary(-d) == -codec.from_balanced_ternary(d)
+    digits = codec.to_balanced_ternary_array(rng.integers(-m, m + 1, size=200), 12)
+    values = codec.from_balanced_ternary_array(digits)
+    assert np.array_equal(codec.from_balanced_ternary_array(-digits), -values)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_round_trip_exhaustive(n):
     m = codec.ternary_full_scale(n)
-    seen = set()
-    for t in range(-m, m + 1):
-        d = codec.to_balanced_ternary(t, n)
-        assert codec.from_balanced_ternary(d) == t
-        seen.add(d.digits)
-    assert len(seen) == 3**n  # bijection over the full range
+    values = np.arange(-m, m + 1)
+    digits = codec.to_balanced_ternary_array(values, n)
+    assert np.array_equal(digits, to_balanced_ternary_array_oracle(values, n))
+    assert np.array_equal(codec.from_balanced_ternary_array(digits), values)
+    assert len(np.unique(digits, axis=0)) == 3**n  # bijection over the full range
 
 
 def test_round_trip_random_full_width():
     rng = np.random.default_rng(12)
     m = codec.ternary_full_scale(20)
-    for t in rng.integers(-m, m + 1, size=1000):
-        assert codec.from_balanced_ternary(codec.to_balanced_ternary(int(t), 20)) == int(t)
+    values = rng.integers(-m, m + 1, size=1000)
+    digits = codec.to_balanced_ternary_array(values, 20)
+    assert np.array_equal(codec.from_balanced_ternary_array(digits), values)
 
 
 def test_array_codec_matches_scalar():
+    # Against the oracle that encodes one digit position at a time.
     rng = np.random.default_rng(13)
     m = codec.ternary_full_scale(20)
     values = rng.integers(-m, m + 1, size=400)
     digits = codec.to_balanced_ternary_array(values, 20)
-    for row, t in zip(digits, values):
-        assert tuple(int(d) for d in row) == codec.to_balanced_ternary(int(t), 20).digits
+    assert np.array_equal(digits, to_balanced_ternary_array_oracle(values, 20))
     back = codec.from_balanced_ternary_array(digits)
     assert np.array_equal(back, values)
 
@@ -265,60 +271,29 @@ def test_encode_monotone_identity():
 
 
 def test_leading_zero_basics():
-    assert codec.leading_zero_count(codec.DigitVector((0,) * 20)) == 20
-    assert codec.leading_zero_count(codec.DigitVector((0, 1) + (0,) * 18)) == 1
-    assert codec.leading_zero_count(codec.DigitVector((1,) + (0,) * 19)) == 0
+    words = np.array([(0,) * 20, (0, 1) + (0,) * 18, (1,) + (0,) * 19, (0, 0, -1) + (0,) * 17])
+    assert codec.leading_zero_count_array(words).tolist() == [20, 1, 0, 2]
 
 
 def test_leading_zero_bound_exhaustive_n8():
     # |t| <= (3^m - 1)/2 guarantees at least n - m leading zeros.
     n = 8
-    for t in range(-codec.ternary_full_scale(n), codec.ternary_full_scale(n) + 1):
-        count = codec.leading_zero_count(codec.to_balanced_ternary(t, n))
-        for m in range(1, n + 1):
-            if abs(t) <= codec.ternary_full_scale(m):
-                assert count >= n - m
-                break
+    t = np.arange(-codec.ternary_full_scale(n), codec.ternary_full_scale(n) + 1)
+    counts = codec.leading_zero_count_array(codec.to_balanced_ternary_array(t, n))
+    for m in range(1, n + 1):
+        fits = np.abs(t) <= codec.ternary_full_scale(m)
+        assert (counts[fits] >= n - m).all()
 
 
 def test_leading_zero_array_matches_scalar():
+    # Exactly n - m leading zeros, m the fewest digits that hold |t| (0 for t = 0).
     rng = np.random.default_rng(14)
     m = codec.ternary_full_scale(10)
-    values = np.concatenate([[0], rng.integers(-m, m + 1, size=100)])
-    digits = codec.to_balanced_ternary_array(values, 10)
-    counts = codec.leading_zero_count_array(digits)
-    for row, count in zip(digits, counts):
-        assert count == codec.leading_zero_count(codec.DigitVector.from_array(row))
-
-
-# --- differential split ----------------------------------------------------
-
-
-def test_split_all_zero_is_all_ground():
-    states = codec.split_differential(codec.DigitVector((0,) * 20))
-    assert all(s is codec.Switch.GND for s in states.upper)
-    assert all(s is codec.Switch.GND for s in states.lower)
-
-
-def test_split_rule():
-    states = codec.split_differential(codec.DigitVector((1, -1)))
-    assert states.upper == (codec.Switch.HIGH, codec.Switch.GND)
-    assert states.lower == (codec.Switch.GND, codec.Switch.HIGH)
-
-
-def test_split_negation_swaps_halves():
-    rng = np.random.default_rng(15)
-    for _ in range(50):
-        d = codec.DigitVector(tuple(int(x) for x in rng.integers(-1, 2, size=20)))
-        a = codec.split_differential(d)
-        b = codec.split_differential(-d)
-        assert a.upper == b.lower
-        assert a.lower == b.upper
-
-
-def test_switch_states_reject_double_high():
-    with pytest.raises(RangeError):
-        codec.SwitchStates(upper=(codec.Switch.HIGH,), lower=(codec.Switch.HIGH,))
+    values = np.concatenate([[0, 1, -1, m, -m], rng.integers(-m, m + 1, size=100)])
+    counts = codec.leading_zero_count_array(codec.to_balanced_ternary_array(values, 10))
+    for t, count in zip(values.tolist(), counts.tolist()):
+        width = next(w for w in range(11) if abs(t) <= (3**w - 1) // 2)
+        assert count == 10 - width
 
 
 # --- digit vector / dump format ---------------------------------------------
@@ -329,14 +304,9 @@ def test_digit_vector_validation():
         codec.DigitVector((0, 2, 0))
     with pytest.raises(RangeError):
         codec.DigitVector(())
-
-
-def test_digit_vector_string_round_trip():
-    d = codec.to_balanced_ternary(5, 3)
-    assert d.to_string() == "+--"
-    assert codec.DigitVector.from_string("+--") == d
-    with pytest.raises(FileFormatError):
-        codec.DigitVector.from_string("+x-")
+    d = codec.DigitVector.from_array(np.array([1, 0, -1], dtype=np.int8))
+    assert d.digits == (1, 0, -1)
+    assert np.asarray(d).tolist() == [1, 0, -1]
 
 
 def test_digit_dump_round_trip(tmp_path):

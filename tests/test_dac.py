@@ -349,7 +349,7 @@ def test_fast_path_matches_direct_solve(calibrated):
     converter = dac.Dac(calibrated)
     words = random_words(np.random.default_rng(32), 20, 200)
     for fast, row in zip(converter.output_array(words), words):
-        direct = converter.output_direct(codec.DigitVector.from_array(row))
+        direct = converter.output_direct(row)
         assert fast == pytest.approx(direct, rel=1e-9, abs=1e-15)
 
 
@@ -357,7 +357,7 @@ def test_fast_path_matches_direct_solve_perturbed(calibrated):
     converter = dac.Dac(dac.perturb(calibrated, seed=99))
     words = random_words(np.random.default_rng(33), 20, 50)
     for fast, row in zip(converter.output_array(words), words):
-        direct = converter.output_direct(codec.DigitVector.from_array(row))
+        direct = converter.output_direct(row)
         assert fast == pytest.approx(direct, rel=1e-9, abs=1e-15)
 
 
@@ -375,10 +375,9 @@ def test_tiny_entry_resistor_matches_mesh_oracle(calibrated):
     p, q = net.port
     words = random_words(np.random.default_rng(37), 20, 20)
     for fast, row in zip(converter.output_array(words), words):
-        d = codec.DigitVector.from_array(row)
-        v, _ = loop_current_solve(net, converter.source_levels(d))
+        v, _ = loop_current_solve(net, converter.source_levels(row))
         assert fast == pytest.approx(v[p] - v[q], rel=1e-9, abs=1e-15)
-        assert converter.output_direct(d) == pytest.approx(v[p] - v[q], rel=1e-9, abs=1e-15)
+        assert converter.output_direct(row) == pytest.approx(v[p] - v[q], rel=1e-9, abs=1e-15)
 
 
 def test_monotone_output_exhaustive_six_stages():
@@ -401,7 +400,7 @@ def test_monotone_output_sampled_twenty_stages(calibrated):
 
 
 def test_supply_currents_zero_word(calibrated):
-    currents = dac.Dac(calibrated).supply_currents(codec.DigitVector((0,) * 20))
+    currents = dac.Dac(calibrated).supply_currents([0] * 20)
     assert currents[90.0] == 0.0
     assert currents[12.0] == 0.0
 
@@ -410,7 +409,7 @@ def test_supply_currents_msb_word_vs_hand_reduction(calibrated):
     # Open load, only the most significant digit set: all current leaves the
     # 90 V rail through the MSB strings into the rest of the upper half.
     open_config = dataclasses.replace(calibrated, load_ohms=math.inf)
-    word = codec.DigitVector((1,) + (0,) * 19)
+    word = [1] + [0] * 19
     currents = dac.Dac(open_config).supply_currents(word)
 
     r_msb = 100.0 / 9.0
@@ -426,11 +425,76 @@ def test_supply_currents_word_negation(calibrated):
     rng = np.random.default_rng(34)
     converter = dac.Dac(calibrated)
     for row in random_words(rng, 20, 20):
-        d = codec.DigitVector.from_array(row)
-        a = converter.supply_currents(d)
-        b = converter.supply_currents(-d)
+        a = converter.supply_currents(row)
+        b = converter.supply_currents(-row)
         assert a[90.0] == pytest.approx(b[90.0], rel=1e-9, abs=1e-15)
         assert a[12.0] == pytest.approx(b[12.0], rel=1e-9, abs=1e-15)
+
+
+def test_reference_paths_take_int_rows_and_digit_vectors(calibrated):
+    converter = dac.Dac(calibrated)
+    for row in random_words(np.random.default_rng(39), 20, 10):
+        word = codec.DigitVector.from_array(row)
+        assert converter.output_direct(row) == converter.output_direct(word)
+        assert converter.output_direct(row.tolist()) == converter.output_direct(word)
+        assert converter.supply_currents(row) == converter.supply_currents(word)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [[1, 0, -1], [0] * 19 + [2], [[0] * 20], [0.5] * 20],
+    ids=["wrong-length", "digit-2", "2-D", "float"],
+)
+def test_reference_paths_reject_bad_words(calibrated, word):
+    converter = dac.Dac(calibrated)
+    for path in (converter.source_levels, converter.output_direct, converter.supply_currents):
+        with pytest.raises(RangeError):
+            path(word)
+
+
+def test_source_levels_zero_word_is_all_ground(calibrated):
+    assert dac.Dac(calibrated).source_levels([0] * 20).tolist() == [0.0] * 40
+
+
+def test_source_levels_split_rule(calibrated):
+    # +1 drives the upper stage to its rail, -1 the lower one; stages 13-20 are on 12 V.
+    levels = dac.Dac(calibrated).source_levels([1, -1] + [0] * 17 + [-1])
+    assert np.flatnonzero(levels).tolist() == [0, 21, 39]
+    assert levels[[0, 21, 39]].tolist() == [90.0, 90.0, 12.0]
+
+
+def test_source_levels_never_drive_both_halves(calibrated):
+    converter = dac.Dac(calibrated)
+    for row in random_words(np.random.default_rng(15), 20, 50):
+        levels = converter.source_levels(row)
+        assert (levels[:20] * levels[20:] == 0.0).all()
+
+
+def test_source_levels_negation_swaps_halves(calibrated):
+    converter = dac.Dac(calibrated)
+    for row in random_words(np.random.default_rng(16), 20, 50):
+        levels = converter.source_levels(row)
+        assert np.array_equal(converter.source_levels(-row), np.roll(levels, 20))
+
+
+def test_near_short_source_currents_match_mesh_oracle(calibrated):
+    # A 1e-9 ohm string element puts a 1e9 S source branch on its node.
+    # Taken as the difference of two nearly equal volts over 1e-9 ohm, its
+    # current would be ~1e-6 of max|I| off; solved as its own unknown it is exact.
+    config = dataclasses.replace(calibrated, element_overrides={"upper.s13.shunt1": 1e-9})
+    converter = dac.Dac(config)
+    net = dac._layout(config).network(config.load_ohms)
+    words = random_words(np.random.default_rng(41), 20, 30)
+    rails = converter.rail_currents_array(words)
+    for k, row in enumerate(words):
+        levels = converter.source_levels(row)
+        _, i_ref = loop_current_solve(net, levels)
+        high = i_ref * (levels > 0)
+        expected = {v: high[levels == v].sum() for v in converter.rail_voltages}
+        bound = 1e-9 * np.abs(i_ref).max()
+        for volts, amps in converter.supply_currents(row).items():
+            assert abs(amps - expected[volts]) <= bound
+            assert abs(rails[volts][k] - expected[volts]) <= bound
 
 
 def test_rail_currents_array_matches_scalar(calibrated):
@@ -439,7 +503,7 @@ def test_rail_currents_array_matches_scalar(calibrated):
     words = random_words(rng, 20, 40)
     rails = converter.rail_currents_array(words)
     for k, row in enumerate(words):
-        scalar = converter.supply_currents(codec.DigitVector.from_array(row))
+        scalar = converter.supply_currents(row)
         assert rails[90.0][k] == pytest.approx(scalar[90.0], rel=1e-9, abs=1e-15)
         assert rails[12.0][k] == pytest.approx(scalar[12.0], rel=1e-9, abs=1e-15)
 
@@ -490,8 +554,7 @@ def test_rail_currents_array_matches_supply_currents(table_converter):
     rails = table_converter.rail_currents_array(words)
     assert set(rails) == set(table_converter.rail_voltages)
     for k in [*range(40), block - 1, block, 2 * block - 1, 2 * block, 2 * block + 6]:
-        d = codec.DigitVector.from_array(words[k])
-        for volts, amps in table_converter.supply_currents(d).items():
+        for volts, amps in table_converter.supply_currents(words[k]).items():
             assert rails[volts][k] == pytest.approx(amps, rel=1e-9, abs=1e-15)
 
 
@@ -520,9 +583,8 @@ def test_one_open_solve_serves_every_load(calibrated, monkeypatch, load):
     fast = converter.output_array(words)
     rails = converter.rail_currents_array(words)
     for k, row in enumerate(words):
-        d = codec.DigitVector.from_array(row)
-        assert close(fast[k], converter.output_direct(d), np.abs(fast).max())
-        for volts, amps in converter.supply_currents(d).items():
+        assert close(fast[k], converter.output_direct(row), np.abs(fast).max())
+        for volts, amps in converter.supply_currents(row).items():
             assert close(rails[volts][k], amps, np.abs(rails[volts]).max())
     assert len(built) == 2  # the reference paths built their own network, once
 

@@ -174,6 +174,24 @@ def test_near_short_resistor_matches_loop_current_oracle():
         assert np.allclose(sol.source_currents, i_ref, rtol=1e-9, atol=1e-9 * np.abs(i_ref).max())
 
 
+def test_near_short_source_matches_loop_current_oracle():
+    # A Norton source behind 1e-9 ohm gets a current unknown: its current is
+    # solved for, not taken as (level - v_node)/R of two nearly equal volts.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        net = random_network(rng, n_nodes=int(rng.integers(4, 8)), n_sources=3)
+        near = dataclasses.replace(net.sources[1], series_ohms=1e-9)
+        net = dataclasses.replace(net, sources=net.sources[:1] + (near,) + net.sources[2:])
+        levels = rng.uniform(-90, 90, size=len(net.sources))
+        solver = network.NetworkSolver(net)
+        sol = solver.solve(levels)
+        v_ref, i_ref = loop_current_solve(net, levels)
+        bound = 1e-9 * np.abs(i_ref).max()
+        assert np.allclose(sol.node_voltages, v_ref, rtol=1e-9, atol=1e-9)
+        assert np.allclose(sol.source_currents, i_ref, rtol=1e-9, atol=bound)
+        assert np.allclose(solver.source_current_matrix @ levels, i_ref, rtol=1e-9, atol=bound)
+
+
 def test_port_behind_lone_resistor_of_ideal_source():
     # The resistor is the port node's only branch, so it is stamped as a
     # branch current and the system has no conductance cell at all.
