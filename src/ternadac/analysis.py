@@ -46,7 +46,8 @@ def sfdr(trace, f0_hz: float, fs_hz: float) -> float:
     dB gap between the fundamental bin and the largest other bin (DC
     excluded) of the rectangular-window magnitude spectrum. The record length
     must be a power of two and f0 must be coherent; a non-coherent tone
-    raises with the nearest coherent substitute in the message.
+    raises with the nearest coherent substitute in the message. A record
+    with no tone (say, all zero) has no SFDR and gives NaN.
     """
     v = _as_series(trace)
     n = len(v)
@@ -68,10 +69,10 @@ def sfdr(trace, f0_hz: float, fs_hz: float) -> float:
     spurs[0] = 0.0
     spurs[bin_f0] = 0.0
     worst = float(spurs.max())
+    if fundamental == 0.0:
+        return math.nan
     if worst == 0.0:
         return math.inf
-    if fundamental == 0.0:
-        return -math.inf
     return 20.0 * math.log10(fundamental / worst)
 
 

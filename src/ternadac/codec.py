@@ -45,6 +45,8 @@ GROUP_DIGITS = (
     np.arange(GROUP_CODES)[:, None] // 3 ** np.arange(GROUP_SIZE - 1, -1, -1) % 3 - 1
 ).astype(np.int8)
 GROUP_DIGITS.setflags(write=False)
+#: GROUP_DIGITS with each row as one 5-byte item, so the encoder gathers rows.
+_GROUP_ROWS = GROUP_DIGITS.view(f"V{GROUP_SIZE}").ravel()
 
 
 def ternary_full_scale(n_digits: int) -> int:
@@ -138,9 +140,9 @@ def to_balanced_ternary_array(values: Iterable[int], n_digits: int = DEFAULT_N_D
     """Vectorised encoder; returns an int8 array of shape (len(values), n_digits).
 
     One divmod by 243 per five digits of t + m_pad, held as uint64
-    (3**40 - 1 < 2**64), then one gather from :data:`GROUP_DIGITS`. m_pad is
-    the full scale of the word padded to whole groups, so the remainders are
-    the :func:`group_codes` of the result.
+    (3**40 - 1 < 2**64), then one gather of five-digit rows of
+    :data:`GROUP_DIGITS`. m_pad is the full scale of the word padded to whole
+    groups, so the remainders are the :func:`group_codes` of the result.
     """
     t = np.asarray(values, dtype=np.int64).reshape(-1)
     m = _array_full_scale(n_digits)
@@ -154,7 +156,7 @@ def to_balanced_ternary_array(values: Iterable[int], n_digits: int = DEFAULT_N_D
     for j in range(groups - 1, 0, -1):
         rest, codes[:, j] = np.divmod(rest, np.uint64(GROUP_CODES))
     codes[:, 0] = rest
-    digits = GROUP_DIGITS[codes].reshape(t.size, groups * GROUP_SIZE)
+    digits = np.take(_GROUP_ROWS, codes).view(np.int8).reshape(t.size, groups * GROUP_SIZE)
     return np.ascontiguousarray(digits[:, digits.shape[1] - n_digits :])
 
 

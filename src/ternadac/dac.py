@@ -23,6 +23,7 @@ open ones times :func:`load_divider` (Thevenin) and loaded source currents are
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -364,19 +365,12 @@ _GROUP_INDICATORS = np.concatenate(
     [codec.GROUP_DIGITS == 1, codec.GROUP_DIGITS == -1], axis=1
 ).astype(float)
 
-#: Digit words per block in :meth:`Dac.rail_currents_array`. A block's
-#: indicator and current arrays (about 0.6 kB per word on the prototype) then
-#: stay in cache and are reused from block to block: 65,536-word blocks made
-#: a 31-level sweep about 1.4x slower on a 2-vCPU VM.
-RAIL_BLOCK = 1024
-
-
 class Dac:
     """Assembled converter: one open-network solver and digit-state fast paths.
 
     Immutable after construction (the weight table's arrays are read-only)
     apart from the loaded network the reference paths build on first use and
-    the group-ordered rail terms built on the first rail-current call;
+    the rail-current tables built on the first rail-current call;
     concurrent evaluation over disjoint digit arrays is safe.
     """
 
@@ -459,12 +453,14 @@ class Dac:
         return dict(zip(self.rail_voltages, (currents @ self._rail_matrix).tolist()))
 
     @cached_property
-    def _rail_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        # Js and R with rows (and Js's columns) in the column order of the
-        # indicator block: per digit group, its five +1 then its five -1
-        # indicators. The top group's padding columns get zero rows.
+    def _rail_tables(self) -> tuple[list[tuple[int, int]], np.ndarray]:
+        # Js[g, i, h, j]: volts times the current of source j of group h with
+        # source i of group g HIGH; R[g, r, 0, i]: 1 when source i of group g
+        # draws from rail r. Sources are in _GROUP_INDICATORS' column order
+        # (five +1, then five -1 indicators per group); padding rows are zero.
         n, five = self.n_digits, codec.GROUP_SIZE
-        width = 2 * five * codec.group_count(n)
+        groups = codec.group_count(n)
+        width = 2 * five * groups
         position = np.arange(n) + width // 2 - n  # in the padded word
         plus = position + position // five * five
         columns = np.concatenate([plus, plus + five])  # of the sources: upper, then lower
@@ -475,28 +471,48 @@ class Dac:
         js[np.ix_(columns, columns)] = self._source_volts[:, None] * j_loaded.T
         rails = np.zeros((width, len(self.rail_voltages)))
         rails[columns] = self._rail_matrix
-        return js, rails
+        js = js.reshape(groups, 2 * five, groups, 2 * five)
+        rails = rails.reshape(groups, 2 * five, 1, -1).transpose(0, 3, 2, 1)
+        a = _GROUP_INDICATORS
+        # Pair (g, h) adds a_g · (Js[g, h] R[h] + (Js[h, g] R[g])ᵀ) · a_h to
+        # each rail; a word of one group has no pair term, only its own.
+        pairs = list(itertools.combinations(range(groups), 2)) or [(0, 0)]
+        g, h = np.array(pairs).T
+        cross = js[g, :, h, :][:, None] * rails[h]
+        cross += (js[h, :, g, :][:, None] * rails[g]).swapaxes(2, 3)
+        cross[g == h] = 0.0
+        tables = a @ cross @ a.T  # [pair, rail, code of g, code of h]
+        k = np.arange(groups)
+        own = ((a @ (js[k, :, k, :][:, None] * rails)) * a).sum(axis=3)  # [group, rail, code]
+        tables[0] += own[0][:, :, None]  # group 0 by its row in pair (0, 1)
+        tables[k[1:] - 1] += own[1:, :, None, :]  # group k by its column in pair (0, k)
+        tables = tables.reshape(len(pairs), len(self.rail_voltages), -1)
+        tables.setflags(write=False)
+        return pairs, tables
 
     def rail_currents_array(self, digits: np.ndarray) -> dict[float, np.ndarray]:
         """Per-sample signed rail currents for an array of digit words.
 
-        ``((a @ Js) * a) @ R`` per block of :data:`RAIL_BLOCK` words: ``a``
-        holds the +1 and the -1 digit indicators, one column per source,
-        gathered per digit group from :data:`_GROUP_INDICATORS`. ``Js[i, j]``
-        is the current of source j with source i HIGH, and the second factor
-        of ``a`` keeps only the HIGH sources, as in :meth:`supply_currents`.
-        The loaded ``J`` is the open one less ``h`` times the load current
-        (the compensation theorem).
+        The currents are the quadratic form ``((a @ Js) * a) @ R`` in the +1
+        and -1 digit indicators ``a``, one column per source: ``Js[i, j]`` is
+        the current of source j with source i HIGH, the second factor of ``a``
+        keeps only the HIGH sources, as in :meth:`supply_currents`, and ``R``
+        maps sources to rails. The loaded ``J`` is the open one less ``h``
+        times the load current (the compensation theorem).
+
+        The form is summed from tables, one gather for every pair of digit
+        groups g < h at index ``243 * code_g + code_h``; a group's own terms
+        ride in the first pair that holds it, and a word of one group reads
+        its own terms as the pair (0, 0). Built on the first call, the tables
+        take pairs x rails x 243² x 8 bytes: 5.7 MB on the prototype (6 pairs,
+        2 rails), 13 MB for a 40-digit one-rail ladder (28 pairs) and 17 MB
+        for 12 digits on 12 rails (3 pairs).
         """
-        codes = self._codes(digits)
-        js, rails = self._rail_terms
-        out = np.empty((len(self.rail_voltages), len(codes)))
-        for start in range(0, len(codes), RAIL_BLOCK):
-            block = codes[start : start + RAIL_BLOCK]
-            a = np.take(_GROUP_INDICATORS, block, axis=0).reshape(len(block), len(js))
-            currents = a @ js
-            currents *= a
-            out[:, start : start + len(a)] = (currents @ rails).T
+        codes = self._codes(digits).T  # one contiguous row per group
+        pairs, tables = self._rail_tables
+        out = np.zeros((len(self.rail_voltages), codes.shape[1]))
+        for (g, h), table in zip(pairs, tables):
+            out += np.take(table, codes[g] * codec.GROUP_CODES + codes[h], axis=1)
         return dict(zip(self.rail_voltages, out))
 
 

@@ -45,6 +45,12 @@ def test_sfdr_ignores_dc():
     assert analysis.sfdr(v, f0, FS) >= 250.0
 
 
+def test_sfdr_of_all_zero_record_is_nan():
+    # No tone, so no SFDR: NaN, not +inf from the all-zero spur bins.
+    n = 4096
+    assert math.isnan(analysis.sfdr(np.zeros(n), 127 * FS / n, FS))
+
+
 def test_sfdr_rejects_non_power_of_two():
     with pytest.raises(RangeError, match="power of two"):
         analysis.sfdr(np.zeros(6000), 800.0, FS)

@@ -284,6 +284,16 @@ def test_sweep_csv(tmp_path, calibrated_config_file):
     assert float(rows[2][1]) == pytest.approx(47.7, abs=0.5)  # full-scale sine power
 
 
+def test_sweep_row_below_the_lsb_has_no_sfdr(tmp_path, calibrated_config_file):
+    # -400 dBFS rounds every sample to the zero word: no tone, no supply power.
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--config", calibrated_config_file, "--levels=-400,0", "--duration", "0.001"]
+    assert run([*args, "--out", out]) == 0
+    _, rows = read_rows(out)
+    assert rows[0][:4] == ["-400.0", "-inf", "nan", "nan"]
+    assert float(rows[1][2]) > 100.0
+
+
 def test_rail_columns_follow_the_config_rails(tmp_path, prototype):
     # A 48 V / 6 V converter: the columns are named after its rails and carry
     # their currents (nothing about the rails is fixed to the prototype's).

@@ -516,13 +516,31 @@ def three_rail_config():
     return dac.DacConfig(stages=tuple(stages), load_ohms=16.0, r_on=0.5)
 
 
-@pytest.fixture(scope="module", params=["six-stage perturbed", "prototype", "three-rail"])
+def twelve_rail_config():
+    # Three digit groups, each stage on its own rail.
+    stages = [dac.StageSpec(POWER3, 100.0 * 3**k, 5.0 + k) for k in range(12)]
+    return dac.DacConfig(stages=tuple(stages), load_ohms=8.0, r_on=0.2)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        "six-stage perturbed", "prototype", "three-rail",
+        "three-digit", "five-digit perturbed", "twelve-rail",
+    ],
+)
 def table_converter(request, calibrated):
     configs = {
         # Mismatched halves, so a swapped +1/-1 indicator column shows.
         "six-stage perturbed": lambda: dac.perturb(dataclasses.replace(uniform_ladder(), tolerance=0.05), 3),
         "prototype": lambda: calibrated,
         "three-rail": three_rail_config,
+        # One digit group: no pair of groups, only the group's own terms.
+        "three-digit": lambda: uniform_ladder(3),
+        "five-digit perturbed": lambda: dac.perturb(
+            dataclasses.replace(uniform_ladder(5), tolerance=0.05), 4
+        ),
+        "twelve-rail": twelve_rail_config,
     }
     return dac.Dac(configs[request.param]())
 
@@ -549,13 +567,20 @@ def test_table_output_is_exact_on_zero_and_single_digit_words(table_converter):
 
 def test_rail_currents_array_matches_supply_currents(table_converter):
     n = table_converter.n_digits
-    block = dac.RAIL_BLOCK
-    words = random_words(np.random.default_rng(50 + n), n, 2 * block + 7)
+    words = random_words(np.random.default_rng(50 + n), n, 2055)
     rails = table_converter.rail_currents_array(words)
     assert set(rails) == set(table_converter.rail_voltages)
-    for k in [*range(40), block - 1, block, 2 * block - 1, 2 * block, 2 * block + 6]:
+    for k in [*range(40), 1023, 1024, 2047, 2048, 2054]:
         for volts, amps in table_converter.supply_currents(words[k]).items():
             assert rails[volts][k] == pytest.approx(amps, rel=1e-9, abs=1e-15)
+
+
+def test_rail_currents_array_is_exact_on_the_zero_word(table_converter):
+    zero = np.zeros((3, table_converter.n_digits), dtype=np.int8)
+    rails = table_converter.rail_currents_array(zero)
+    assert {volts: amps.tolist() for volts, amps in rails.items()} == {
+        volts: [0.0] * 3 for volts in table_converter.rail_voltages
+    }
 
 
 @pytest.mark.parametrize("load", [8.0, 32.0, 600.0, math.inf])
