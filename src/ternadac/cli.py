@@ -37,28 +37,35 @@ class RunManifest:
         return lines
 
 
-#: Rows of a numeric table converted to Python floats at a time, so the
-#: converted copy stays small on long records.
+#: Rows formatted and written at a time, so the text of a long record stays small.
 CSV_BLOCK = 4096
 
 
-def _table_rows(columns):
-    """Rows of equal-length numeric columns, as lists of Python numbers."""
-    table = np.column_stack(columns)
-    for start in range(0, len(table), CSV_BLOCK):
-        yield from table[start : start + CSV_BLOCK].tolist()
+def _cells(col) -> list[str]:
+    """``str`` of every cell; a float64 array formats each distinct bit pattern once."""
+    if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
+        return list(map(str, col))
+    _, first, inverse = np.unique(col.view(np.uint64), return_index=True, return_inverse=True)
+    return np.array(list(map(repr, col[first].tolist())), dtype=object)[inverse].tolist()
 
 
-def _write_csv(path, manifest: RunManifest, columns: list[str], rows) -> None:
-    """Manifest, header and rows, all or nothing; every cell is written as ``str(cell)``."""
-    header = ",".join(columns)
-    head = "".join(line + "\n" for line in manifest.header_lines(header)) + header + "\n"
+def _write_csv(path, manifest: RunManifest, header: list[str], columns) -> None:
+    """Manifest, header and equal-length data columns, all or nothing.
+
+    Takes columns, not rows, and formats each one ``CSV_BLOCK`` rows at a time.
+    Every cell is written as ``str(cell)``, which for a float is its shortest
+    round-trip ``repr``: a value's text is the same whichever column form holds it.
+    """
+    names = ",".join(header)
+    head = "".join(line + "\n" for line in manifest.header_lines(names)) + names + "\n"
+    rows = len(columns[0]) if columns else 0
     try:
         head.encode("ascii")  # fails on a path the header cannot hold, before any file is made
         with codec.replacing(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
             fh.write(head)
-            for row in rows:
-                fh.write(",".join(map(str, row)) + "\n")
+            for start in range(0, rows, CSV_BLOCK):
+                cells = [_cells(col[start : start + CSV_BLOCK]) for col in columns]
+                fh.write("".join(map("%s\n".__mod__, map(",".join, zip(*cells)))))
     except (OSError, UnicodeEncodeError) as exc:
         raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
@@ -121,8 +128,9 @@ def _parse_levels(text: str) -> list[float]:
             raise ConfigError(f"--levels: not numeric: {text!r}") from None
         if not (math.isfinite(start) and start <= stop < math.inf and 0 < step < math.inf):
             raise ConfigError("--levels range needs finite bounds, step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
-        return [start + k * step for k in range(count)]
+        # Whole steps that fit, forgiving only float rounding; no level passes stop.
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        return [min(start + k * step, stop) for k in range(count)]
     try:
         levels = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
@@ -173,7 +181,8 @@ def _cmd_weights(args) -> int:
     rows.append(("v_full_scale_pp_volts", 2.0 * table.v_full_scale, "", ""))
     rows.append(("v_loaded_full_scale_pp_volts", 2.0 * float(table.w_pos_loaded.sum()), "", ""))
     manifest = RunManifest("weights", {"config": config_desc, "out": args.out})
-    _write_csv(args.out, manifest, ["stage", "weight_volts", "ratio_to_next", "attenuation_db"], rows)
+    header = ["stage", "weight_volts", "ratio_to_next", "attenuation_db"]
+    _write_csv(args.out, manifest, header, list(zip(*rows)))
     return 0
 
 
@@ -212,8 +221,7 @@ def _cmd_simulate(args) -> int:
         codec.write_digit_dump(args.dump_digits, digits, header_lines=manifest.header_lines())
     columns = ["time_s", "v_out_volts"] + [f"i{v:g}_amps" for v in trace.rail_currents]
     time_s = np.arange(len(trace)) / args.fs
-    rows = _table_rows([time_s, trace.v_out, *trace.rail_currents.values()])
-    _write_csv(args.out, manifest, columns, rows)
+    _write_csv(args.out, manifest, columns, [time_s, trace.v_out, *trace.rail_currents.values()])
     return 0
 
 
@@ -245,7 +253,7 @@ def _cmd_sweep(args) -> int:
         (r.level_dbfs, r.level_dbm, r.sfdr_db, r.efficiency_pct, *r.rail_avg_a.values())
         for r in result.rows
     ]
-    _write_csv(args.out, manifest, columns, rows)
+    _write_csv(args.out, manifest, columns, list(zip(*rows)))
     return 0
 
 
@@ -276,7 +284,7 @@ def _cmd_montecarlo(args) -> int:
         },
     )
     rows = [(trial, value) for trial, value in enumerate(result.sfdr_db)]
-    _write_csv(args.out, manifest, ["trial", "sfdr_db"], rows)
+    _write_csv(args.out, manifest, ["trial", "sfdr_db"], list(zip(*rows)))
     print(
         f"montecarlo: median={result.median_db:.2f} dB "
         f"p10={result.p10_db:.2f} dB p90={result.p90_db:.2f} dB"
@@ -301,7 +309,7 @@ def _cmd_noise(args) -> int:
         },
     )
     rows = [(budget.temperature_k, budget.bandwidth_hz, budget.noise_w, budget.noise_dbm, dr)]
-    _write_csv(args.out, manifest, ["t_k", "b_hz", "noise_w", "noise_dbm", "dr_db"], rows)
+    _write_csv(args.out, manifest, ["t_k", "b_hz", "noise_w", "noise_dbm", "dr_db"], list(zip(*rows)))
     return 0
 
 

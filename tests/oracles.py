@@ -4,8 +4,9 @@ These deliberately avoid the library's solution paths: the mesh solver uses
 fundamental-loop currents instead of nodal analysis, the scaling oracle
 uses exact rational arithmetic, the digit-dump oracles write and read one
 line at a time instead of one array at a time, the encoder oracle works one
-digit position at a time instead of five-digit groups, and the output oracle
-multiplies digit indicators by weights instead of looking up group tables.
+digit position at a time instead of five-digit groups, the output oracle
+multiplies digit indicators by weights instead of looking up group tables, and
+the CSV oracle formats one row at a time instead of one column at a time.
 """
 
 from __future__ import annotations
@@ -180,3 +181,8 @@ def indicator_output_oracle(digits, w_pos, w_neg) -> np.ndarray:
     """Output volts of digit words as two indicator GEMVs: +1 digits times w_pos, less -1 digits times w_neg."""
     digits = np.asarray(digits)
     return (digits == 1).astype(float) @ w_pos - (digits == -1).astype(float) @ w_neg
+
+
+def csv_rows_oracle(rows) -> str:
+    """CSV data lines written one row at a time, every cell as ``str(cell)``."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)

@@ -4,10 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternadac import __version__, analysis, calibrate, cli, codec, dac, pipeline
 from ternadac import read_config, write_config
 from ternadac.errors import FileFormatError
+
+from oracles import csv_rows_oracle
 
 
 def run(args):
@@ -244,18 +248,85 @@ def test_non_ascii_output_path_is_io_error(tmp_path, capsys, subcommand):
     assert list(tmp_path.iterdir()) == []  # not even a partial file
 
 
-def test_csv_write_failing_partway_keeps_old_file(tmp_path):
-    out = tmp_path / "table.csv"
-    out.write_text("old table\n", encoding="ascii")
+class _FullDisk:
+    """A cell whose formatting fails as a write on a full disk would."""
 
-    def rows():
-        yield (1, 2.0)
+    def __str__(self):
         raise OSError(28, "No space left on device")
 
-    with pytest.raises(FileFormatError, match="No space left"):
-        cli._write_csv(out, cli.RunManifest("test", {"out": out}), ["a", "b"], rows())
-    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
-    assert out.read_text(encoding="ascii") == "old table\n"
+
+def test_csv_write_failing_partway_keeps_old_file(tmp_path):
+    # The failure comes from a cell of a column: in the first block, then in
+    # the second, after one whole block was written to the temporary file.
+    out = tmp_path / "table.csv"
+    for bad_row in (1, cli.CSV_BLOCK + 1):
+        out.write_text("old table\n", encoding="ascii")
+        labels = [1] * bad_row + [_FullDisk()] + [1] * 3
+        values = np.arange(len(labels), dtype=np.float64)
+        with pytest.raises(FileFormatError, match="No space left"):
+            cli._write_csv(out, cli.RunManifest("test", {"out": out}), ["a", "b"], [labels, values])
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+        assert out.read_text(encoding="ascii") == "old table\n"
+
+
+def _data_lines(path) -> list[str]:
+    """The CSV's data lines, newline kept: everything after the manifest and the column header."""
+    lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+    return [line for line in lines if not line.startswith("#")][1:]
+
+
+#: Float64 bit patterns a column formatter could merge or mangle: both zeros,
+#: NaNs of either sign and another payload, both infinities and subnormals.
+SPECIAL_FLOATS = np.array(
+    [0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+     0x7FF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000001,
+     0x800FFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(np.float64)
+
+CSV_LENGTHS = st.sampled_from([0, 1, cli.CSV_BLOCK - 1, cli.CSV_BLOCK, cli.CSV_BLOCK + 1])
+
+
+@st.composite
+def float_columns(draw, length):
+    """A float64 column: a few values (specials always among them) heavily repeated, or all distinct."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.standard_normal(length) * 10.0 ** rng.integers(-320, 300, length)
+    extra = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6))
+    pool = np.concatenate([SPECIAL_FLOATS, np.array(extra, dtype=np.float64)])
+    return pool[rng.integers(len(pool), size=length)]
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_csv_writer_matches_row_oracle_on_float_columns(csv_dir, data):
+    length = data.draw(CSV_LENGTHS)
+    columns = [data.draw(float_columns(length)) for _ in range(data.draw(st.integers(1, 3)))]
+    out = csv_dir / "t.csv"
+    cli._write_csv(out, cli.RunManifest("test", {}), [f"c{k}" for k in range(len(columns))], columns)
+    # The row form the writer replaces: a numeric table converted to Python floats.
+    rows = np.column_stack(columns).tolist() if length else []
+    assert _data_lines(out) == csv_rows_oracle(rows).splitlines(keepends=True)
+
+
+def test_csv_writer_matches_row_oracle_on_mixed_columns(tmp_path):
+    # The columns of weights (int or str labels, float64 scalars, str and "")
+    # and of montecarlo (an int trial index and float64 scalars).
+    w = np.array([3.25, -0.0, 1 / 3, np.nan, np.inf, 5e-324])
+    weights_rows = [(k + 1, w[k], f"{k / 7:.9f}", "") for k in range(len(w))]
+    weights_rows.append(("z_out_ohms", w[2], "", ""))
+    mc = np.array([71.5, np.nan, -0.0, 71.5, 0.0] * (cli.CSV_BLOCK // 4))
+    mc_rows = list(enumerate(mc))
+    for rows in (weights_rows, mc_rows):
+        out = tmp_path / "t.csv"
+        cli._write_csv(out, cli.RunManifest("test", {}), ["a", "b", "c", "d"][: len(rows[0])], list(zip(*rows)))
+        assert _data_lines(out) == csv_rows_oracle(rows).splitlines(keepends=True)
 
 
 def test_non_ascii_config_is_config_error(tmp_path, capsys, calibrated_config_file):
@@ -361,6 +432,29 @@ def test_levels_range_syntax(tmp_path, calibrated_config_file):
     assert code == 0
     _, rows = read_rows(out)
     assert [r[0] for r in rows] == ["-4.0", "-2.0", "0.0"]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("-30:0:8", [-30.0, -22.0, -14.0, -6.0]),
+        ("-1:0:0.3", [-1.0, -0.7, -0.4, -0.1]),
+        ("-0.3:0:0.1", [-0.3, -0.2, -0.1, 0.0]),
+        ("-30:0:1", [float(v) for v in range(-30, 1)]),
+    ],
+)
+def test_levels_range_stops_at_stop(text, expected):
+    levels = cli._parse_levels(text)
+    assert levels == pytest.approx(expected, abs=1e-12)
+    assert max(levels) <= float(text.split(":")[1])
+
+
+def test_levels_range_step_past_stop_runs(tmp_path, calibrated_config_file):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--config", calibrated_config_file, "--levels=-30:0:8", "--duration", "0.016"]
+    assert run(args + ["--out", out]) == 0
+    _, rows = read_rows(out)
+    assert [r[0] for r in rows] == ["-30.0", "-22.0", "-14.0", "-6.0"]
 
 
 def test_bad_levels_is_config_error(tmp_path, capsys):
